@@ -278,11 +278,11 @@ void select(Matrix<W> &c, const MaskT &mask, Accum accum, F f,
 /// Fused relax-and-filter (the SSSP/BC light-edge inner step):
 ///   w = u ⊕.⊗ A;  pruned = w⟨lo ≤ w < hi⟩
 /// — the unmasked vxm product plus the ValueGe/ValueLt select pair, with the
-/// range filter folded into the product's epilogue when the planner fuses
-/// (ExecPlan::use_fused). Both outputs are bit-identical to the unfused
-/// chain `vxm; select(ValueGe, lo); select(ValueLt, hi)`, which the entry
-/// runs verbatim whenever fusion is declined. NoAccum/no-mask only — the
-/// shape the delta-stepping loop uses.
+/// range filter folded into the product's epilogue. Both outputs are
+/// bit-identical to the unfused chain `vxm; select(ValueGe, lo);
+/// select(ValueLt, hi)`, which the entry runs verbatim when the descriptor
+/// rules the one-sweep kernel out. NoAccum/no-mask only — the shape the
+/// delta-stepping loop uses.
 template <typename W, typename SR, typename AT>
 void vxm_select_range(Vector<W> &w, Vector<W> &pruned, SR sr,
                       const Vector<W> &u, const Matrix<AT> &a, const W &lo,
@@ -298,9 +298,9 @@ void vxm_select_range(Vector<W> &w, Vector<W> &pruned, SR sr,
       d.transpose_a);
 
   // The one-sweep path adopts the product into w verbatim: same value type
-  // (signature) and no mask, so the only extra precondition is the planner's
-  // own decision and the untransposed push shape the kernel implements.
-  const bool fuse = pl.use_fused && std::is_same_v<W, Z> && !d.transpose_a &&
+  // (signature) and no mask, so the only extra precondition is the
+  // untransposed push shape the kernel implements.
+  const bool fuse = std::is_same_v<W, Z> && !d.transpose_a &&
                     !d.mask_complement;
   if (!fuse) {
     vxm(w, no_mask, NoAccum{}, sr, u, a, d);

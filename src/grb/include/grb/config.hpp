@@ -61,27 +61,12 @@ struct Config {
   bool force_pull = false;
   ForceFormat force_format = ForceFormat::none;
 
-  /// Fused-kernel dispatch (grb/plan.hpp OpKind::fused_*). When enabled the
-  /// planner may route a fusable op chain (masked mxv+stamp, vxm+range
-  /// select) through its single-sweep kernel if the cost model favours it;
-  /// when disabled every fused entry point runs the unfused composition.
-  /// Results are bit-identical either way — this knob exists for ablation
-  /// benchmarks and for bisecting perf regressions to the fusion decision.
-  bool enable_fusion = true;
-
   /// Calibration-coefficient file (grb::plan::Calibration). When non-empty,
   /// the planner lazily loads fitted per-machine ns/cost-unit coefficients
   /// from this path on the next make_plan() and tags plans' explain()
   /// output with nanosecond estimates. Empty (default) = stay in model
   /// units. Written by `lagraph_cli trace --calibration-out`.
   std::string calibration_file;
-
-  /// Online coefficient refresh (service::Engine workers): every Nth
-  /// *recorded* kernel span folds its actual-vs-predicted ratio into the
-  /// calibration coefficients (EWMA). 0 disables updates (the default).
-  /// Requires trace_sample_every > 0 — unrecorded spans never reach the
-  /// observe hook.
-  std::uint32_t calibration_update_every = 0;
 
   /// grb::trace sampling gate (grb/trace.hpp): 0 disables span recording
   /// entirely (the default — a ScopedSpan then costs one branch and touches
@@ -143,7 +128,6 @@ struct StatsSnapshot {
   std::uint64_t plan_pull_decisions = 0;
   std::uint64_t format_conversions = 0;
   std::uint64_t fused_dispatches = 0;
-  std::uint64_t calibration_updates = 0;
   std::uint64_t edges_ingested = 0;
   std::uint64_t ingest_batches = 0;
   std::uint64_t epochs_published = 0;
@@ -176,7 +160,6 @@ struct StatsSnapshot {
     f("plan_pull_decisions", plan_pull_decisions);
     f("format_conversions", format_conversions);
     f("fused_dispatches", fused_dispatches);
-    f("calibration_updates", calibration_updates);
     f("edges_ingested", edges_ingested);
     f("ingest_batches", ingest_batches);
     f("epochs_published", epochs_published);
@@ -223,8 +206,7 @@ struct Stats {
   // Execution-planner counters (grb/plan.hpp): how many plans were built
   // fresh vs served from a snapshot's memo, how often a Config override or
   // caller hint outranked the cost model, the per-decision outcome mix, and
-  // how many operand conversions the planner explicitly requested (the
-  // formerly-silent hypersparse→CSR expansions among them).
+  // how many operand conversions the planner explicitly requested.
   std::atomic<std::uint64_t> plans_built{0};          // cost model evaluated
   std::atomic<std::uint64_t> plans_cached{0};         // served from a PlanCache
   std::atomic<std::uint64_t> plans_overridden{0};     // hint/override decided
@@ -232,7 +214,6 @@ struct Stats {
   std::atomic<std::uint64_t> plan_pull_decisions{0};  // plans choosing pull
   std::atomic<std::uint64_t> format_conversions{0};   // planner-driven converts
   std::atomic<std::uint64_t> fused_dispatches{0};     // fused kernel chosen
-  std::atomic<std::uint64_t> calibration_updates{0};  // EWMA coefficient folds
 
   // Ingest counters (lagraph::ingest): the streaming write path. Edges
   // counts individual mutation commands accepted; batches counts writer
@@ -274,8 +255,6 @@ struct Stats {
     s.plan_pull_decisions = plan_pull_decisions.load(std::memory_order_relaxed);
     s.format_conversions = format_conversions.load(std::memory_order_relaxed);
     s.fused_dispatches = fused_dispatches.load(std::memory_order_relaxed);
-    s.calibration_updates =
-        calibration_updates.load(std::memory_order_relaxed);
     s.edges_ingested = edges_ingested.load(std::memory_order_relaxed);
     s.ingest_batches = ingest_batches.load(std::memory_order_relaxed);
     s.epochs_published = epochs_published.load(std::memory_order_relaxed);
@@ -313,7 +292,6 @@ struct Stats {
     plan_pull_decisions = 0;
     format_conversions = 0;
     fused_dispatches = 0;
-    calibration_updates = 0;
     edges_ingested = 0;
     ingest_batches = 0;
     epochs_published = 0;

@@ -19,7 +19,7 @@
 //   - dispatch_width(w, f): calls f with a uint32_t{} or uint64_t{} tag;
 //     kernels do `using I = decltype(tag)` and instantiate once per width.
 //
-// Widths never mix within one matrix: rowptr/colidx/hypersparse arrays share
+// Widths never mix within one matrix: the rowptr and colidx arrays share
 // the container's single IndexWidth invariant.
 #pragma once
 

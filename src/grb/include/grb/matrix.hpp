@@ -15,7 +15,9 @@
 //     element-wise merges). If no consumer needs it, the sort never happens.
 // The bitmap and full formats store an m×n dense layout; bitmap adds a
 // byte-per-slot presence array. They serve dense-ish intermediates such as
-// the ns×n frontier matrices in betweenness centrality.
+// the ns×n frontier matrices in betweenness centrality. SuiteSparse's
+// fourth format, a compressed list of non-empty rows for matrices with far
+// more rows than entries, is left out: no workload here has that shape.
 //
 // Threading contract ("single writer OR finalized"):
 //   The deferred-work machinery above is *logically* const — finish(),
@@ -24,9 +26,8 @@
 //   the same matrix concurrently, even if both only "read". A matrix may
 //   therefore be used from exactly one thread at a time, UNLESS it has been
 //   finalized: finalize() drains every deferred path (pending tuples,
-//   zombies, lazy sort, hypersparse row list) up front, after which all
-//   const member functions are genuinely read-only and any number of
-//   threads may share the matrix. In debug builds the lazy paths assert
+//   zombies, lazy sort) up front, after which all const member functions
+//   are genuinely read-only and any number of threads may share the matrix. In debug builds the lazy paths assert
 //   that they are never reached on a finalized matrix; any non-const
 //   mutation (set_element, build, clear, adopt_csr, ...) returns the
 //   matrix to single-writer mode by clearing the finalized flag.
@@ -56,7 +57,7 @@ class Matrix {
  public:
   using value_type = T;
 
-  enum class Format : std::uint8_t { csr, hypersparse, bitmap, full };
+  enum class Format : std::uint8_t { csr, bitmap, full };
 
   /// Pending-op codes for stage_tuples (the batched mutation entry point).
   static constexpr std::uint8_t kPendSet = 0;     // insert-or-overwrite
@@ -93,8 +94,7 @@ class Matrix {
   [[nodiscard]] Index nvals() const {
     finish();
     switch (fmt_) {
-      case Format::csr:
-      case Format::hypersparse: return static_cast<Index>(colidx_.size());
+      case Format::csr: return static_cast<Index>(colidx_.size());
       case Format::bitmap: return bitmap_nvals_;
       case Format::full: return m_ * n_;
     }
@@ -112,8 +112,6 @@ class Matrix {
     pend_j_.clear();
     pend_v_.clear();
     pend_op_.clear();
-    hrows_.clear();
-    hrowptr_.clear();
     bitmap_nvals_ = 0;
     jumbled_ = false;
     fmt_ = Format::csr;
@@ -126,7 +124,6 @@ class Matrix {
   void set_element(Index i, Index j, const T &x) {
     check_indices(i, j);
     finalized_ = false;
-    if (fmt_ == Format::hypersparse) to_csr();
     if (fmt_ != Format::csr) {
       auto p = static_cast<std::size_t>(i) * n_ + j;
       if (fmt_ == Format::bitmap && !present_[p]) {
@@ -150,7 +147,6 @@ class Matrix {
   void accum_element(Index i, Index j, const T &x) {
     check_indices(i, j);
     finalized_ = false;
-    if (fmt_ == Format::hypersparse) to_csr();
     if (fmt_ != Format::csr) {
       auto p = static_cast<std::size_t>(i) * n_ + j;
       if (fmt_ == Format::bitmap && !present_[p]) {
@@ -174,7 +170,6 @@ class Matrix {
   void remove_element(Index i, Index j) {
     check_indices(i, j);
     finalized_ = false;
-    if (fmt_ == Format::hypersparse) to_csr();
     if (fmt_ != Format::csr) {
       auto p = static_cast<std::size_t>(i) * n_ + j;
       if (fmt_ == Format::bitmap && present_[p]) {
@@ -232,7 +227,6 @@ class Matrix {
                       "width");
     }
     finalized_ = false;
-    if (fmt_ == Format::hypersparse) to_csr();
     if (fmt_ != Format::csr) {
       for (std::size_t p = 0; p < rows.size(); ++p) {
         switch (ops[p]) {
@@ -263,23 +257,10 @@ class Matrix {
     ensure_sorted();
     return detail::dispatch_width(iw_, [&](auto tag) -> std::optional<T> {
       using I = decltype(tag);
+      auto rp = rowptr_.template as<I>();
       auto cx = colidx_.template as<I>();
-      std::size_t lo = 0, hi = 0;
-      if (fmt_ == Format::hypersparse) {
-        auto hr = hrows_.template as<I>();
-        auto hp = hrowptr_.template as<I>();
-        auto it = std::lower_bound(hr.begin(), hr.end(), static_cast<I>(i));
-        if (it == hr.end() || *it != static_cast<I>(i)) return std::nullopt;
-        auto h = static_cast<std::size_t>(it - hr.begin());
-        lo = hp[h];
-        hi = hp[h + 1];
-      } else {
-        auto rp = rowptr_.template as<I>();
-        lo = rp[i];
-        hi = rp[i + 1];
-      }
-      auto first = cx.begin() + static_cast<std::ptrdiff_t>(lo);
-      auto last = cx.begin() + static_cast<std::ptrdiff_t>(hi);
+      auto first = cx.begin() + static_cast<std::ptrdiff_t>(rp[i]);
+      auto last = cx.begin() + static_cast<std::ptrdiff_t>(rp[i + 1]);
       auto jt = std::lower_bound(first, last, static_cast<I>(j));
       if (jt == last || *jt != static_cast<I>(j)) return std::nullopt;
       return vals_[static_cast<std::size_t>(jt - cx.begin())];
@@ -476,19 +457,6 @@ class Matrix {
           f(static_cast<Index>(cx[p]), vals_[p]);
         }
       });
-    } else if (fmt_ == Format::hypersparse) {
-      detail::dispatch_width(iw_, [&](auto tag) {
-        using I = decltype(tag);
-        auto hr = hrows_.template as<I>();
-        auto hp = hrowptr_.template as<I>();
-        auto cx = colidx_.template as<I>();
-        auto it = std::lower_bound(hr.begin(), hr.end(), static_cast<I>(i));
-        if (it == hr.end() || *it != static_cast<I>(i)) return;
-        auto h = static_cast<std::size_t>(it - hr.begin());
-        for (std::size_t p = hp[h]; p < hp[h + 1]; ++p) {
-          f(static_cast<Index>(cx[p]), vals_[p]);
-        }
-      });
     } else if (fmt_ == Format::bitmap) {
       auto base = static_cast<std::size_t>(i) * n_;
       for (Index j = 0; j < n_; ++j) {
@@ -504,21 +472,6 @@ class Matrix {
   template <typename F>
   void for_each(F &&f) const {
     finish();
-    if (fmt_ == Format::hypersparse) {
-      // only the non-empty rows, without the binary search per row
-      detail::dispatch_width(iw_, [&](auto tag) {
-        using I = decltype(tag);
-        auto hr = hrows_.template as<I>();
-        auto hp = hrowptr_.template as<I>();
-        auto cx = colidx_.template as<I>();
-        for (std::size_t h = 0; h < hr.size(); ++h) {
-          for (std::size_t p = hp[h]; p < hp[h + 1]; ++p) {
-            f(static_cast<Index>(hr[h]), static_cast<Index>(cx[p]), vals_[p]);
-          }
-        }
-      });
-      return;
-    }
     for (Index i = 0; i < m_; ++i) {
       for_each_in_row(i, [&](Index j, const T &x) { f(i, j, x); });
     }
@@ -527,17 +480,6 @@ class Matrix {
   [[nodiscard]] Index row_nvals(Index i) const {
     finish();
     if (fmt_ == Format::csr) return rowptr_[i + 1] - rowptr_[i];
-    if (fmt_ == Format::hypersparse) {
-      return detail::dispatch_width(iw_, [&](auto tag) -> Index {
-        using I = decltype(tag);
-        auto hr = hrows_.template as<I>();
-        auto hp = hrowptr_.template as<I>();
-        auto it = std::lower_bound(hr.begin(), hr.end(), static_cast<I>(i));
-        if (it == hr.end() || *it != static_cast<I>(i)) return 0;
-        auto h = static_cast<std::size_t>(it - hr.begin());
-        return static_cast<Index>(hp[h + 1]) - static_cast<Index>(hp[h]);
-      });
-    }
     if (fmt_ == Format::full) return n_;
     Index c = 0;
     auto base = static_cast<std::size_t>(i) * n_;
@@ -578,7 +520,6 @@ class Matrix {
     finish();
     if (!jumbled_) return;
     assert_lazy_path_allowed("ensure_sorted");
-    if (fmt_ == Format::hypersparse) to_csr();
     if (fmt_ != Format::csr) return;
     auto &self = const_cast<Matrix &>(*this);
     self.sort_rows();
@@ -592,15 +533,12 @@ class Matrix {
   }
 
   /// Freeze for concurrent sharing (see the threading contract above).
-  /// Drains every deferred path: pending tuples and zombies are merged,
-  /// jumbled rows sorted, and hypersparse storage expanded to CSR (so the
-  /// kernels' raw-access entry points never need a format write while the
-  /// matrix is shared). After finalize() all const member functions are
+  /// Drains every deferred path: pending tuples and zombies are merged and
+  /// jumbled rows sorted. After finalize() all const member functions are
   /// genuinely read-only; debug builds assert if a lazy path is ever
   /// reached. Any later non-const mutation clears the flag.
   void finalize() const {
     wait();
-    if (fmt_ == Format::hypersparse) to_csr();
     // Snapshot-publish is where the memory win lands: with the deferred
     // work drained the entry count is final, so re-select the width and
     // compress u64 → u32 when the auto rule (or a forced override) allows.
@@ -626,8 +564,7 @@ class Matrix {
   /// size is width-independent).
   [[nodiscard]] std::size_t index_bytes() const {
     finish();
-    return rowptr_.byte_size() + colidx_.byte_size() + hrows_.byte_size() +
-           hrowptr_.byte_size();
+    return rowptr_.byte_size() + colidx_.byte_size();
   }
 
   /// True while the matrix is frozen for concurrent readers.
@@ -640,31 +577,6 @@ class Matrix {
     if (fmt_ == Format::csr) return;
     assert_lazy_path_allowed("to_csr");
     auto &self = const_cast<Matrix &>(*this);
-    if (fmt_ == Format::hypersparse) {
-      // expand the compressed row list into a full row-pointer array, at
-      // the container's width (m_ and nvals both fit: iw_ covered them when
-      // the hypersparse form was built)
-      detail::dispatch_width(iw_, [&](auto tag) {
-        using I = decltype(tag);
-        auto hr = hrows_.template as<I>();
-        auto hp = hrowptr_.template as<I>();
-        std::vector<I> rp(static_cast<std::size_t>(m_) + 1, 0);
-        for (std::size_t h = 0; h < hr.size(); ++h) {
-          rp[static_cast<std::size_t>(hr[h]) + 1] = hp[h + 1] - hp[h];
-        }
-        for (Index i = 0; i < m_; ++i) {
-          rp[i + 1] = static_cast<I>(rp[i + 1] + rp[i]);
-        }
-        self.rowptr_.adopt(std::move(rp));
-      });
-      self.hrows_.clear();
-      self.hrows_.shrink_to_fit();
-      self.hrowptr_.clear();
-      self.hrowptr_.shrink_to_fit();
-      self.fmt_ = Format::csr;
-      stats().format_switches.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
     // Bitmap/full → CSR. A bitmap can hold more entries than its
     // dimensions suggest (nvals up to m·n), so the width is re-selected
     // for the realized entry count before the index arrays are emitted.
@@ -725,58 +637,10 @@ class Matrix {
     stats().format_switches.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Convert to the hypersparse format (Buluç & Gilbert [8] in the paper):
-  /// only the non-empty rows carry a row pointer, so a matrix with m ≫
-  /// nnz rows costs O(nnz) instead of O(m) — the format SuiteSparse pairs
-  /// with CSR as its two primary sparse structures (§VI-A).
-  void to_hypersparse() const {
-    wait();  // hypersparse rows are kept sorted and merged
-    if (fmt_ == Format::hypersparse) return;
-    assert_lazy_path_allowed("to_hypersparse");
-    to_csr();
-    auto &self = const_cast<Matrix &>(*this);
-    detail::dispatch_width(iw_, [&](auto tag) {
-      using I = decltype(tag);
-      auto rp = rowptr_.template as<I>();
-      std::vector<I> hr;
-      std::vector<I> hp;
-      hp.push_back(0);
-      for (Index i = 0; i < m_; ++i) {
-        if (rp[i + 1] > rp[i]) {
-          hr.push_back(static_cast<I>(i));
-          hp.push_back(rp[i + 1]);
-        }
-      }
-      self.hrows_.adopt(std::move(hr));
-      self.hrowptr_.adopt(std::move(hp));
-    });
-    self.rowptr_.clear();
-    self.rowptr_.shrink_to_fit();
-    self.fmt_ = Format::hypersparse;
-    stats().format_switches.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Number of non-empty rows (hypersparse row-list length).
-  [[nodiscard]] Index nrows_nonempty() const {
-    finish();
-    if (fmt_ == Format::hypersparse) return static_cast<Index>(hrows_.size());
-    Index c = 0;
-    for (Index i = 0; i < m_; ++i) c += row_nvals(i) > 0 ? 1 : 0;
-    return c;
-  }
-
   // -- raw access for kernels -------------------------------------------------------------
 
   [[nodiscard]] IndexSpan rowptr() const {
     finish();
-    // No silent hypersparse expansion: materializing the O(nrows) row
-    // pointer is a planner decision, not a side effect of peeking at raw
-    // storage. Callers convert explicitly first — grb::plan::prepare(a,
-    // MatFormat::csr) — which also bumps Stats::format_conversions so the
-    // blowup is visible in the counters.
-    detail::require(fmt_ != Format::hypersparse, Info::invalid_value,
-                    "rowptr: hypersparse matrix has no dense row pointer; "
-                    "convert via grb::plan::prepare(a, MatFormat::csr)");
     return IndexSpan(rowptr_);
   }
   [[nodiscard]] IndexSpan colidx() const {
@@ -843,8 +707,6 @@ class Matrix {
     iw_ = w;
     rowptr_ = detail::IndexArray(w);
     colidx_ = detail::IndexArray(w);
-    hrows_ = detail::IndexArray(w);
-    hrowptr_ = detail::IndexArray(w);
   }
 
   /// Re-select the storage width for the given entry count and convert all
@@ -858,8 +720,6 @@ class Matrix {
     auto &self = const_cast<Matrix &>(*this);
     self.rowptr_.convert(want);
     self.colidx_.convert(want);
-    self.hrows_.convert(want);
-    self.hrowptr_.convert(want);
     self.iw_ = want;
     if (want == IndexWidth::u32) {
       stats().index_width_compressions.fetch_add(1, std::memory_order_relaxed);
@@ -886,8 +746,7 @@ class Matrix {
     pj.swap(pend_j_);
     pv.swap(pend_v_);
     pd.swap(pend_op_);
-    // pending lists are detached, so these cannot re-enter merge_pending
-    if (fmt_ == Format::hypersparse) to_csr();
+    // pending lists are detached, so this cannot re-enter merge_pending
     ensure_sorted();
     // Collect existing tuples, then pending ops in arrival order, and fold
     // each position's ops in that order: a set overwrites, a zombie buries
@@ -1007,9 +866,9 @@ class Matrix {
   Index n_;
   mutable bool finalized_ = false;  // frozen for concurrent readers
   mutable Format fmt_ = Format::csr;
-  // Storage width invariant: rowptr_/colidx_/hrows_/hrowptr_ always share
-  // iw_. Pending-tuple staging stays u64 (it is transient and must accept
-  // any Index); build() re-selects the width when the lists merge.
+  // Storage width invariant: rowptr_/colidx_ always share iw_. Pending-tuple
+  // staging stays u64 (it is transient and must accept any Index); build()
+  // re-selects the width when the lists merge.
   mutable IndexWidth iw_ = IndexWidth::u64;
   mutable detail::IndexArray rowptr_;
   mutable detail::IndexArray colidx_;
@@ -1021,9 +880,6 @@ class Matrix {
   mutable std::vector<Index> pend_j_;
   mutable std::vector<T> pend_v_;
   mutable std::vector<std::uint8_t> pend_op_;
-  // hypersparse storage (non-empty row ids + their row pointers)
-  mutable detail::IndexArray hrows_;
-  mutable detail::IndexArray hrowptr_;
   // bitmap / full storage
   mutable std::vector<std::uint8_t> present_;
   mutable std::vector<T> dense_;

@@ -427,7 +427,7 @@ S mxm_reduce_scalar(ReduceMonoid rm, const MaskT &mask, SR sr,
   trace::ScopedSpan sp(trace::SpanKind::mxm_reduce);
   sp.set_in_nvals(static_cast<std::uint64_t>(a.nvals()) + b.nvals());
   // Both operands walk rows via rowptr(); route the CSR materialization
-  // through the planner so hypersparse expansion is counted, never silent.
+  // through the planner so a bitmap operand's conversion is counted.
   plan::OpDesc od;
   od.op = plan::OpKind::mxm;
   od.a_rows = a.nrows();

@@ -282,7 +282,7 @@ Vector<Z> dot_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
         for (std::size_t p = rp[i]; p < rp[i + 1]; ++p) {
           if (step(cx[p], vx[p])) break;  // terminal short-circuit
         }
-      } else if (adense != nullptr) {
+      } else {
         // bitmap/full rows: direct indexing so a terminal accumulator
         // (`any`, `lor`, ...) breaks out of the row instead of merely
         // saturating.
@@ -296,13 +296,6 @@ Vector<Z> dot_kernel(SR sr, const Matrix<AT> &a, const Vector<U> &u,
             if (step(k, adense[base + k])) break;
           }
         }
-      } else {
-        // hypersparse: for_each_in_row cannot break, so saturate instead.
-        bool done = false;
-        a.for_each_in_row(i, [&](Index k, const AT &aik) {
-          if (done) return;
-          done = step(k, aik);
-        });
       }
       if (hit) {
         found[i] = 1;
@@ -520,8 +513,8 @@ plan::ExecPlan plan_fused_op(plan::OpKind op, const Matrix<AT> &a,
 /// write_result step, one sweep stamps `stamp_copy⟨s(w)⟩ = w` and
 /// `stamp_const⟨s(w)⟩ = stamp_value` — the BFS parent and level updates —
 /// without two more kernel dispatches. Falls back to the exact unfused
-/// composition whenever the planner declines fusion or a fast-path
-/// precondition fails, so results are bit-identical by construction.
+/// composition whenever a fast-path precondition fails, so results are
+/// bit-identical by construction.
 template <typename W, typename MaskV, typename SR, typename AT, typename PT,
           typename LT>
 void fused_product_stamp(bool pull_form, Vector<W> &w,
@@ -545,11 +538,11 @@ void fused_product_stamp(bool pull_form, Vector<W> &w,
       plan_fused_op<SR>(plan::OpKind::fused_mxv_apply, a, u, mask, d, out_size,
                         pull_form == d.transpose_a);
 
-  // Beyond the cost model, the single-sweep path needs the assign fast-path
-  // preconditions: bitmap stamp targets and a product the output can adopt
-  // verbatim (same value type — guaranteed by the signature — and either
-  // replace semantics or an empty output).
-  bool fuse = pl.use_fused && std::is_same_v<W, Z> && !d.transpose_a &&
+  // The single-sweep path needs the assign fast-path preconditions: bitmap
+  // stamp targets and a product the output can adopt verbatim (same value
+  // type — guaranteed by the signature — and either replace semantics or an
+  // empty output).
+  bool fuse = std::is_same_v<W, Z> && !d.transpose_a &&
               (d.replace || w.nvals() == 0);
   if (stamp_copy != nullptr &&
       stamp_copy->format() != Vector<PT>::Format::bitmap) {
@@ -608,8 +601,8 @@ void fused_product_stamp(bool pull_form, Vector<W> &w,
 
 /// Fused masked pull product + stamps (one BFS level, pull direction):
 ///   w⟨mask,d⟩ = A ⊕.⊗ u;  stamp_copy⟨s(w)⟩ = w;  stamp_const⟨s(w)⟩ = value
-/// in one kernel sweep when the planner fuses (ExecPlan::use_fused), else
-/// the exact mxv + assign + assign chain. Pass nullptr to skip a stamp.
+/// in one kernel sweep when the operands allow it, else the exact
+/// mxv + assign + assign chain. Pass nullptr to skip a stamp.
 template <typename W, typename MaskV, typename SR, typename AT, typename PT,
           typename LT>
 void fused_mxv_apply(Vector<W> &w, const Vector<MaskV> &mask, SR sr,

@@ -49,8 +49,8 @@ namespace plan {
 /// Operation kinds the planner understands. `traversal` is the algorithm-
 /// level push/pull choice (BFS levels, BC sweeps, msbfs groups); the rest
 /// are the grb kernel entry points. The `fused_*` kinds are single-sweep
-/// compositions (masked mxv/vxm + stamp assigns, vxm + range select) the
-/// planner may dispatch instead of the op chain they replace.
+/// compositions (masked mxv/vxm + stamp assigns, vxm + range select) that
+/// run instead of the op chain they replace whenever the operands allow.
 enum class OpKind : std::uint8_t {
   mxv,
   vxm,
@@ -124,14 +124,11 @@ struct ExecPlan {
   MatFormat mask_format = MatFormat::keep;
   VecFormat u_format = VecFormat::keep;
   VecFormat v_format = VecFormat::keep;
-  bool use_dot = false;    // mxm: dot kernel instead of Gustavson
-  bool use_fused = false;  // fused_* ops: single-sweep kernel vs op chain
-  int threads = 1;         // team-size cap from the PR-2 partitioner
+  bool use_dot = false;  // mxm: dot kernel instead of Gustavson
+  int threads = 1;       // team-size cap (team_size below)
   Chosen chosen = Chosen::cost_model;
   double cost_push = 0.0;  // model estimates (0 when not applicable)
   double cost_pull = 0.0;
-  double cost_fused = 0.0;    // fused_* ops: one-sweep estimate
-  double cost_unfused = 0.0;  // fused_* ops: op-chain estimate
   OpDesc desc;  // the inputs the decision was made from (for explain)
 
   /// Human-readable decision record — `lagraph_cli explain` output.
@@ -161,8 +158,7 @@ inline constexpr double kCallOverheadUnits = 64.0;
 /// `explain` and the trace calibration report can render model estimates in
 /// nanoseconds, and so repeated trace runs can measure model drift on this
 /// machine. Persisted as a small JSON file (Config::calibration_file) and
-/// updated online by service::Engine workers via an exponentially-weighted
-/// fit over recorded spans.
+/// fitted offline by `lagraph_cli trace --calibration-out`.
 struct Calibration {
   double push_ns_per_unit = 0.0;  // 0 = not fitted yet
   double pull_ns_per_unit = 0.0;
@@ -190,14 +186,6 @@ void set_calibration(const Calibration &c) noexcept;
 
 /// Drop back to the unfitted state (tests).
 void reset_calibration() noexcept;
-
-/// Online update from one recorded span: fold `actual_ns / predicted_units`
-/// into the per-direction coefficient with an exponentially-weighted moving
-/// average (α = 0.05, so ~20 recent spans dominate). Called by the trace
-/// layer when Config::calibration_update_every is set; cheap enough for a
-/// kernel epilogue (two relaxed atomics). Bumps Stats::calibration_updates.
-void observe_span_ns(Direction dir, double predicted_units,
-                     std::uint64_t actual_ns) noexcept;
 
 /// Thread-team size for `total_work` units: the PR-2 gating rule
 /// (effective_threads() when the work clears kParallelGrain, else the
@@ -230,8 +218,8 @@ double sssp_default_delta(double max_weight) noexcept;
 
 /// Apply a planned matrix conversion explicitly. This is the only sanctioned
 /// way to change an operand's format on behalf of a kernel — it bumps
-/// Stats::format_conversions so formerly-silent O(n) expansions (hypersparse
-/// raw access, rowptr() before this refactor) show up in the counters.
+/// Stats::format_conversions so every O(n) format change a kernel asks for
+/// shows up in the counters.
 template <typename Mat>
 void prepare(const Mat &a, MatFormat f) {
   using F = typename Mat::Format;

@@ -249,7 +249,6 @@ class ScopedSpan {
     }
     s_.predicted_cost =
         pl.direction == plan::Direction::pull ? pl.cost_pull : pl.cost_push;
-    if (pl.use_fused && pl.cost_fused > 0.0) s_.predicted_cost = pl.cost_fused;
   }
 
   void set_in_nvals(std::uint64_t n) noexcept {

@@ -182,27 +182,6 @@ void plan_mxv_vxm(const OpDesc &d, ExecPlan &p) {
   }
 }
 
-/// Fused-kernel decision: price the one-sweep kernel against the op chain
-/// it replaces. Both share the product cost; the chain pays two extra
-/// dispatches (stamp assigns / range selects), each a full pass over the
-/// product's nnz plus per-call overhead, while the fused kernel folds the
-/// second pass into the product's epilogue.
-void plan_fused(const OpDesc &d, ExecPlan &p) {
-  plan_mxv_vxm(d, p);
-  const double davg = mean_degree(d);
-  const double product_cost =
-      p.direction == Direction::pull ? p.cost_pull : p.cost_push;
-  // Expected product nnz: frontier fan-out, capped by the output size.
-  const double t_est =
-      std::min(static_cast<double>(d.u_nvals) * std::max(1.0, davg),
-               static_cast<double>(std::max<Index>(d.out_size, 1)));
-  // Both catalogue entries replace two follow-up ops (parent+level stamps,
-  // ge+lt selects).
-  p.cost_fused = product_cost + t_est;
-  p.cost_unfused = product_cost + 2.0 * (kCallOverheadUnits + t_est);
-  p.use_fused = config().enable_fusion && p.cost_fused <= p.cost_unfused;
-}
-
 void plan_mxm(const OpDesc &d, ExecPlan &p) {
   p.use_dot = d.transpose_b && d.masked;
   const double cells = static_cast<double>(d.a_rows) *
@@ -289,9 +268,6 @@ CalState &cal() {
   static CalState c;
   return c;
 }
-
-/// EWMA weight for online updates: ~20 recent spans dominate the fit.
-constexpr double kCalAlpha = 0.05;
 
 /// Extract `"key": <number>` from a one-object JSON blob. Hand-rolled like
 /// the bench/trace writers — no JSON library in the image.
@@ -418,25 +394,6 @@ void reset_calibration() noexcept {
   s.loaded.store(false, std::memory_order_release);
 }
 
-void observe_span_ns(Direction dir, double predicted_units,
-                     std::uint64_t actual_ns) noexcept {
-  if (predicted_units <= 0.0 || actual_ns == 0) return;
-  CalState &s = cal();
-  std::atomic<double> &coef =
-      dir == Direction::pull ? s.pull_ns : s.push_ns;
-  const double obs = static_cast<double>(actual_ns) / predicted_units;
-  const double cur = coef.load(std::memory_order_relaxed);
-  // First observation seeds the coefficient outright; after that, EWMA.
-  // The store may race another worker's — losing one fold is fine for a
-  // moving statistic, and no torn value is possible (atomic<double>).
-  const double next =
-      cur <= 0.0 ? obs : (1.0 - kCalAlpha) * cur + kCalAlpha * obs;
-  coef.store(next, std::memory_order_relaxed);
-  s.samples.fetch_add(1, std::memory_order_relaxed);
-  s.loaded.store(true, std::memory_order_release);
-  stats().calibration_updates.fetch_add(1, std::memory_order_relaxed);
-}
-
 const char *name(OpKind k) noexcept {
   switch (k) {
     case OpKind::mxv: return "mxv";
@@ -517,9 +474,8 @@ std::uint64_t cache_key(const OpDesc &d) noexcept {
   // Config knobs are part of the key: a cached decision must never outlive
   // the overrides it was made under.
   k.pack((config().force_push ? 1u : 0u) | (config().force_pull ? 2u : 0u) |
-             (bitmap_allowed() ? 4u : 0u) |
-             (config().enable_fusion ? 8u : 0u),
-         4);
+             (bitmap_allowed() ? 4u : 0u),
+         3);
   k.pack(static_cast<std::uint64_t>(config().force_format), 2);
   k.pack(static_cast<std::uint64_t>(config().force_index_width), 2);
   k.pack(static_cast<std::uint64_t>(d.u_format + 1), 2);
@@ -556,6 +512,8 @@ ExecPlan make_plan(const OpDesc &d) {
   switch (d.op) {
     case OpKind::mxv:
     case OpKind::vxm:
+    case OpKind::fused_mxv_apply:
+    case OpKind::fused_vxm_select:
       plan_mxv_vxm(d, p);
       break;
     case OpKind::mxm:
@@ -571,10 +529,6 @@ ExecPlan make_plan(const OpDesc &d) {
       break;
     case OpKind::traversal:
       decide_direction(d, p);
-      break;
-    case OpKind::fused_mxv_apply:
-    case OpKind::fused_vxm_select:
-      plan_fused(d, p);
       break;
   }
   if (cache != nullptr) cache->insert(key, p);
@@ -601,14 +555,14 @@ std::string ExecPlan::explain_line() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "%s dir=%s (%s) A %" PRIu64 "x%" PRIu64 " nnz=%" PRIu64
-                " %s u=%" PRIu64 " t=%d cost push=%.0f pull=%.0f%s",
+                " %s u=%" PRIu64 " t=%d cost push=%.0f pull=%.0f",
                 name(op), name(direction), name(chosen),
                 static_cast<std::uint64_t>(desc.a_rows),
                 static_cast<std::uint64_t>(desc.a_cols),
                 static_cast<std::uint64_t>(desc.a_nvals),
                 index_width_name(desc.a_width),
                 static_cast<std::uint64_t>(desc.u_nvals), threads, cost_push,
-                cost_pull, use_fused ? " fused" : "");
+                cost_pull);
   return buf;
 }
 
@@ -670,14 +624,6 @@ std::string ExecPlan::explain() const {
                     c.source.c_str());
       out += buf;
     }
-  }
-  if (op == OpKind::fused_mxv_apply || op == OpKind::fused_vxm_select) {
-    std::snprintf(buf, sizeof(buf),
-                  "  fusion: %s (fused cost=%.0f vs unfused chain=%.0f%s)\n",
-                  use_fused ? "fused single sweep" : "unfused composition",
-                  cost_fused, cost_unfused,
-                  config().enable_fusion ? "" : ", disabled by config");
-    out += buf;
   }
   std::snprintf(buf, sizeof(buf),
                 "  formats: A=%s B=%s mask=%s u=%s v=%s%s\n", name(a_format),

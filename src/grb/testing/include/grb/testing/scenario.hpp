@@ -109,7 +109,7 @@ enum class SelectKind : int {
 
 /// Storage format requested for a matrix operand (full is reachable only via
 /// the full_matrix constructor and is covered by the targeted unit tests).
-enum class MatFmt : int { csr = 0, hypersparse, bitmap, kCount };
+enum class MatFmt : int { csr = 0, bitmap, kCount };
 enum class VecFmt : int { sparse = 0, bitmap, kCount };
 
 /// One step of a non-blocking mutation prologue. `probe` forces a read

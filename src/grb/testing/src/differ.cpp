@@ -176,7 +176,6 @@ Matrix<T> mk_mat(const MatData &d, Dup dup) {
           std::span<const T>(d.vv), dup);
   switch (d.fmt) {
     case MatFmt::csr: break;  // build leaves CSR
-    case MatFmt::hypersparse: a.to_hypersparse(); break;
     case MatFmt::bitmap: a.to_bitmap(); break;
     case MatFmt::kCount: break;
   }

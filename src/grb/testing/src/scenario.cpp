@@ -45,7 +45,7 @@ constexpr std::array<const char *, static_cast<int>(SelectKind::kCount)>
                  "value_ne", "value_le", "row_lt", "col_lt"};
 
 constexpr std::array<const char *, static_cast<int>(MatFmt::kCount)>
-    kMatFmtNames{"csr", "hypersparse", "bitmap"};
+    kMatFmtNames{"csr", "bitmap"};
 
 constexpr std::array<const char *, static_cast<int>(VecFmt::kCount)>
     kVecFmtNames{"sparse", "bitmap"};

@@ -105,8 +105,8 @@ int msbfs_core(const Graph<T> &g, std::span<const grb::Index> sources,
     }
   }
 
-  // The word-parallel sweeps walk raw CSR arrays; materialize the row
-  // pointer explicitly (counted, never a silent hypersparse expansion).
+  // The word-parallel sweeps walk raw CSR arrays; convert to CSR
+  // explicitly so the conversion is counted.
   grb::plan::prepare(g.a, grb::plan::MatFormat::csr);
   const auto rp = g.a.rowptr();
   const auto cx = g.a.colidx();

@@ -95,12 +95,6 @@ struct EngineConfig {
   std::uint32_t max_batch = 64;  ///< max sources per msbfs sweep
   bool enable_batching = true;   ///< false = strictly one query at a time
   std::size_t max_queue = 0;     ///< queued-request cap; 0 = unbounded
-  /// Feed every Nth traced kernel span back into the planner's calibration
-  /// coefficients (grb::plan::observe_span_ns) so long-running services
-  /// converge the cost model onto the machine they are serving from. 0
-  /// disables online updates. Enabling this turns on span sampling
-  /// (grb::Config::trace_sample_every) if the process has it off.
-  std::uint32_t calibration_update_every = 0;
   /// Slow-query threshold in milliseconds: a request whose total wall time
   /// (submit → completion) exceeds it — or that misses its deadline — emits
   /// one structured JSONL record to the slow-query log. 0 disables the

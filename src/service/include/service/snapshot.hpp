@@ -1,9 +1,9 @@
 // service/snapshot.hpp — immutable graph snapshots for concurrent serving.
 //
 // A GraphSnapshot owns a lagraph::Graph<double> that has been fully
-// finalized: pending tuples merged, zombies buried, rows sorted, hypersparse
-// storage expanded, and every property the query kernels consult (transpose,
-// row degrees, symmetric pattern, diagonal count) computed up front. After
+// finalized: pending tuples merged, zombies buried, rows sorted, and every
+// property the query kernels consult (transpose, row degrees, symmetric
+// pattern, diagonal count) computed up front. After
 // construction nothing about the snapshot ever changes, so any number of
 // worker threads may run queries against it without synchronization — the
 // "finalized" half of the grb threading contract (see grb/matrix.hpp).

@@ -119,15 +119,6 @@ Engine::Engine(SnapshotPtr snapshot, EngineConfig cfg)
   cfg_.threads = std::max(1, cfg_.threads);
   cfg_.max_batch = std::max<std::uint32_t>(1, cfg_.max_batch);
   slow_log_.open(cfg_.slow_query_log);
-  if (cfg_.calibration_update_every > 0) {
-    // Online cost-model calibration: workers' traced spans feed the fitted
-    // ns/cost-unit coefficients. Span recording is a prerequisite — turn on
-    // a sparse sampling rate if the process runs with tracing off.
-    grb::config().calibration_update_every = cfg_.calibration_update_every;
-    if (grb::config().trace_sample_every == 0) {
-      grb::config().trace_sample_every = 64;
-    }
-  }
   // Optimistic start: assume lingering pays until the workload proves
   // otherwise, so bursts issued right after startup coalesce.
   ewma_batch_ = static_cast<double>(cfg_.max_batch);
@@ -262,10 +253,6 @@ std::string Engine::prometheus_text() const {
     gauge("lagraph_service_active_workers", "Workers executing right now",
           static_cast<double>(busy_workers_));
   }
-  gauge("lagraph_calibration_updates_total",
-        "Online cost-model calibration updates",
-        static_cast<double>(grb::stats().calibration_updates.load(
-            std::memory_order_relaxed)));
 
   for (int i = 0; i < kNumQueryKinds; ++i) {
     const std::string labels = grb::trace::prometheus_label(

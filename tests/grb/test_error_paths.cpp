@@ -282,11 +282,6 @@ std::vector<Case> make_cases() {
                      Vec u = small_vec(3);
                      u.set_element(3, T{1});
                    }});
-  cases.push_back({"hypersparse rowptr access", Info::invalid_value, [] {
-                     Mat a = small_mat(3, 3);
-                     a.to_hypersparse();
-                     (void)a.rowptr();
-                   }});
 
   // --- kronecker / transpose --------------------------------------------
   cases.push_back({"kronecker output shape mismatch",

@@ -23,19 +23,6 @@ TEST(Finalize, DrainsPendingWorkAndFreezes) {
   EXPECT_TRUE(a.is_finalized());
 }
 
-TEST(Finalize, HypersparseIsExpandedUpFront) {
-  // A few entries in a huge matrix normally live in hypersparse storage, and
-  // the kernels' rowptr() accessor would silently convert — a write. A
-  // finalized matrix must already be past that.
-  grb::Matrix<double> a(1u << 20, 1u << 20);
-  a.set_element(3, 5, 1.0);
-  a.set_element(70000, 9, 2.0);
-  a.finalize();
-  EXPECT_NE(a.format(), grb::Matrix<double>::Format::hypersparse);
-  EXPECT_TRUE(a.is_finalized());
-  EXPECT_EQ(a.nvals(), 2u);
-}
-
 TEST(Finalize, MutationDropsTheFlag) {
   grb::Matrix<double> a(10, 10);
   a.set_element(1, 2, 3.0);

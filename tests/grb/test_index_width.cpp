@@ -138,13 +138,8 @@ TEST(IndexWidthSelect, SmallContainersPickU32) {
   ConfigGuard g;
   Mat a = ladder(100, 100, 60);
   EXPECT_EQ(a.index_width(), IndexWidth::u32);
-  if (a.format() == Mat::Format::csr) {
-    // rowptr (m+1) + colidx (nnz), 4 bytes each.
-    EXPECT_EQ(a.index_bytes(), (101 + a.nvals()) * 4u);
-  } else {
-    EXPECT_GT(a.index_bytes(), 0u);  // hypersparse: arrays still 4-byte
-    EXPECT_EQ(a.index_bytes() % 4u, 0u);
-  }
+  // rowptr (m+1) + colidx (nnz), 4 bytes each.
+  EXPECT_EQ(a.index_bytes(), (101 + a.nvals()) * 4u);
 }
 
 TEST(IndexWidthSelect, LoweredLimitPicksU64) {

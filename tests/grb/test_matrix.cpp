@@ -250,92 +250,3 @@ TEST(Matrix, ZombiesSurviveRoundTripThroughOps) {
   EXPECT_EQ(at.nvals(), 3u);
   EXPECT_FALSE(at.has(0, 1));
 }
-
-// -- hypersparse format -------------------------------------------------------
-
-TEST(Matrix, HypersparseRoundTrip) {
-  // 1000 rows, entries in only 3 of them
-  Matrix<int> a(1000, 1000);
-  a.set_element(5, 7, 1);
-  a.set_element(500, 2, 2);
-  a.set_element(999, 999, 3);
-  Matrix<int> orig = a;
-  a.to_hypersparse();
-  EXPECT_EQ(a.format(), Matrix<int>::Format::hypersparse);
-  EXPECT_EQ(a.nvals(), 3u);
-  EXPECT_EQ(a.nrows_nonempty(), 3u);
-  EXPECT_EQ(a.get(500, 2), 2);
-  EXPECT_FALSE(a.has(500, 3));
-  EXPECT_EQ(a.row_nvals(500), 1u);
-  EXPECT_EQ(a.row_nvals(501), 0u);
-  EXPECT_EQ(a, orig);
-  a.to_csr();
-  EXPECT_EQ(a, orig);
-}
-
-TEST(Matrix, HypersparseIteration) {
-  Matrix<int> a(100, 100);
-  a.set_element(10, 1, 1);
-  a.set_element(10, 5, 2);
-  a.set_element(90, 0, 3);
-  a.to_hypersparse();
-  std::vector<std::tuple<Index, Index, int>> seen;
-  a.for_each([&](Index i, Index j, const int &x) {
-    seen.emplace_back(i, j, x);
-  });
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], std::make_tuple(Index(10), Index(1), 1));
-  EXPECT_EQ(seen[2], std::make_tuple(Index(90), Index(0), 3));
-  // empty-row iteration is a no-op
-  int calls = 0;
-  a.for_each_in_row(50, [&](Index, const int &) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(Matrix, HypersparseSetElementDensifies) {
-  Matrix<int> a(50, 50);
-  a.set_element(3, 3, 1);
-  a.to_hypersparse();
-  a.set_element(7, 7, 2);  // converts back to CSR via the pending list
-  EXPECT_EQ(a.nvals(), 2u);
-  EXPECT_EQ(a.get(7, 7), 2);
-}
-
-TEST(Matrix, HypersparseOpsMatchCsr) {
-  // mxv/vxm/mxm over a hypersparse operand agree with the CSR answers.
-  Matrix<double> a(64, 64);
-  a.set_element(3, 9, 2.0);
-  a.set_element(9, 30, 4.0);
-  a.set_element(30, 3, 8.0);
-  Matrix<double> a_hyper = a;
-  a_hyper.to_hypersparse();
-
-  grb::Vector<double> u(64);
-  u.set_element(3, 1.0);
-  u.set_element(9, 1.0);
-  grb::Vector<double> w1(64);
-  grb::Vector<double> w2(64);
-  grb::vxm(w1, grb::no_mask, grb::NoAccum{}, grb::PlusTimes<double>{}, u, a);
-  grb::vxm(w2, grb::no_mask, grb::NoAccum{}, grb::PlusTimes<double>{}, u,
-           a_hyper);
-  EXPECT_EQ(w1, w2);
-
-  grb::Matrix<double> c1(64, 64);
-  grb::Matrix<double> c2(64, 64);
-  grb::mxm(c1, grb::no_mask, grb::NoAccum{}, grb::PlusTimes<double>{}, a, a);
-  grb::mxm(c2, grb::no_mask, grb::NoAccum{}, grb::PlusTimes<double>{},
-           a_hyper, a_hyper);
-  EXPECT_EQ(c1, c2);
-
-  auto t1 = grb::transposed(a);
-  auto t2 = grb::transposed(a_hyper);
-  EXPECT_EQ(t1, t2);
-}
-
-TEST(Matrix, HypersparseEmptyMatrix) {
-  Matrix<int> a(1000, 1000);
-  a.to_hypersparse();
-  EXPECT_EQ(a.nvals(), 0u);
-  EXPECT_EQ(a.nrows_nonempty(), 0u);
-  EXPECT_FALSE(a.has(0, 0));
-}

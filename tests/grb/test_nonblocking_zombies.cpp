@@ -140,14 +140,6 @@ TEST(NonBlockingZombies, BitmapMutatesEagerly) {
   EXPECT_EQ(a.get(0, 0).value_or(-1), 9);
 }
 
-TEST(NonBlockingZombies, HypersparseConvertsOnMutation) {
-  Mat a = build3x3();
-  a.to_hypersparse();
-  a.remove_element(0, 2);
-  EXPECT_EQ(a.nvals(), 3u);
-  EXPECT_FALSE(a.get(0, 2).has_value());
-}
-
 TEST(NonBlockingZombies, VectorMutationsAreImmediate) {
   Vec u(4);
   std::vector<Index> ix{0, 1, 3};

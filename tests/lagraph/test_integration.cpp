@@ -136,14 +136,10 @@ TEST(Integration, FormatsSurviveTheWholePipeline) {
   grb::Vector<Index> want_comp;
   ASSERT_EQ(lagraph::connected_components(&want_comp, t.lg, msg), LAGRAPH_OK);
 
-  for (int fmt = 0; fmt < 3; ++fmt) {
+  for (int fmt = 0; fmt < 2; ++fmt) {
     auto g2 = t.lg;  // copy
     lagraph::delete_properties(g2, msg);
-    if (fmt == 0) {
-      g2.a.to_hypersparse();
-    } else if (fmt == 1) {
-      g2.a.to_bitmap();
-    }  // fmt 2: leave CSR
+    if (fmt == 0) g2.a.to_bitmap();  // fmt 1: leave CSR
     grb::Vector<std::int64_t> level;
     ASSERT_EQ(lagraph::bfs(&level, nullptr, g2, 0, msg), LAGRAPH_OK)
         << "fmt " << fmt;

@@ -173,6 +173,13 @@ struct GoldenQuery {
   const char *text;
 };
 
+// Without this gtest prints the param as a raw byte dump of its pointers,
+// so the listed test name (and the ctest name built from it) changed with
+// every process under address-space randomisation.
+void PrintTo(const GoldenQuery &gq, std::ostream *os) {
+  *os << '"' << gq.file << '"';
+}
+
 class QueryGolden : public ::testing::TestWithParam<GoldenQuery> {};
 
 TEST_P(QueryGolden, MatchesIndependentReference) {

@@ -36,7 +36,6 @@ TEST(Snapshot, BuildCachesAndFreezesEverything) {
 
   const auto &sg = snap->graph();
   EXPECT_TRUE(sg.a.is_finalized());
-  EXPECT_NE(sg.a.format(), grb::Matrix<double>::Format::hypersparse);
   ASSERT_TRUE(sg.row_degree.has_value());
   EXPECT_TRUE(sg.row_degree->is_finalized());
   EXPECT_EQ(sg.a_pattern_is_symmetric, lagraph::BooleanProperty::yes);

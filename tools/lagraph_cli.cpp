@@ -1000,8 +1000,8 @@ int main(int argc, char **argv) {
       show("eWiseMult sparse x bitmap (intersection)", od);
     } else if (opt.explain_op == "fused") {
       // The fusion catalogue (docs/API.md): product + follow-up op(s) in one
-      // sweep when the modeled saving beats the composition. Same BFS-style
-      // stages so the fuse/no-fuse flip is visible.
+      // sweep. The plan is the product's own (direction, probed format,
+      // cost), shown at the same BFS-style stages as `explain bfs`.
       auto od = base_desc(grb::plan::OpKind::fused_mxv_apply);
       od.u_nvals = 1;
       od.masked = true;
@@ -1034,7 +1034,7 @@ int main(int argc, char **argv) {
       std::printf("calibration: push %.2f, pull %.2f ns/cost-unit from %s "
                   "(%llu samples, fit age %llds)\n",
                   cal.push_ns_per_unit, cal.pull_ns_per_unit,
-                  cal.source.empty() ? "online updates" : cal.source.c_str(),
+                  cal.source.empty() ? "an in-memory fit" : cal.source.c_str(),
                   static_cast<unsigned long long>(cal.samples), age);
     } else {
       std::printf("calibration: none loaded (model units only; fit one with "
