@@ -30,10 +30,11 @@
 #        QUERY_FUZZ_OPS fresh pattern-query scenarios (default 10000)
 #        bit-exactly against the tuple-at-a-time oracle across the full
 #        config sweep in both compilation modes,
-#   2b''. a TSan leg: tests_query_stress rebuilt with
-#        -DLAGRAPH_SANITIZE=thread in a side build tree (BUILD_DIR-tsan)
-#        and run under the sanitizer — concurrent cypher traffic against a
-#        mutating ingest::Writer (SKIP_TSAN=1 skips),
+#   2b''. a TSan leg: tests_query_stress, tests_service and tests_telemetry
+#        rebuilt with -DLAGRAPH_SANITIZE=thread in a side build tree
+#        (BUILD_DIR-tsan) and run under the sanitizer — concurrent cypher
+#        traffic against a mutating ingest::Writer, plus the engine's
+#        workers sharing snapshots (SKIP_TSAN=1 skips),
 #   2c. an ingest smoke: lagraph_cli mutate streams a synthetic mixed
 #       mutation load through an ingest::Writer and check_graph-validates
 #       the final published snapshot,
@@ -62,7 +63,7 @@
 #                      never fail the gate (sub-ms cells
 #                      are noise)                        (default: 0.5)
 #   SKIP_SMOKE=1       skip step 3 entirely
-#   SKIP_TSAN=1        skip the TSan query-stress leg
+#   SKIP_TSAN=1        skip the TSan leg
 #   QUERY_FUZZ_OPS     scenario budget for the query fuzz   (default: 10000)
 #
 # Args:
@@ -147,17 +148,22 @@ step "query fuzz: corpus replay + $QUERY_FUZZ_OPS scenarios (seed $FUZZ_SEED)"
     --ops "$QUERY_FUZZ_OPS" --seed "$FUZZ_SEED"
 
 if [[ "${SKIP_TSAN:-0}" == "1" ]]; then
-  step "TSan query stress: skipped (SKIP_TSAN=1)"
+  step "TSan: skipped (SKIP_TSAN=1)"
 else
-  step "TSan query stress: tests_query_stress under -DLAGRAPH_SANITIZE=thread"
-  # Rebuilds only the query-stress target (plus its library closure) in a
-  # dedicated TSan tree and runs the concurrent-cypher-vs-mutating-writer
-  # suite under the sanitizer. This is the race gate for the new
-  # Engine::cypher path and the snapshot handoff it rides on.
+  step "TSan: query stress, service and telemetry under -DLAGRAPH_SANITIZE=thread"
+  # Rebuilds only these targets (plus their library closure) in a dedicated
+  # TSan tree and runs them under the sanitizer. This is the race gate for
+  # Engine::cypher, the snapshot handoff, and engine workers sharing one
+  # snapshot. The service suites run with one OpenMP thread: libgomp is not
+  # TSan-instrumented, so its team synchronization shows up as false
+  # reports; the engine's own worker threads still run concurrently.
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DLAGRAPH_SANITIZE=thread >/dev/null
-  cmake --build "$TSAN_DIR" -j"$JOBS" --target tests_query_stress >/dev/null
+  cmake --build "$TSAN_DIR" -j"$JOBS" --target tests_query_stress \
+      tests_service tests_telemetry >/dev/null
   "$TSAN_DIR"/tests/query/tests_query_stress
+  OMP_NUM_THREADS=1 "$TSAN_DIR"/tests/service/tests_service
+  OMP_NUM_THREADS=1 "$TSAN_DIR"/tests/service/tests_telemetry
 fi
 
 step "ingest smoke: lagraph_cli mutate --gen kron 10 --mutations 2048"

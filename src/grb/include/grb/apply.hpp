@@ -294,8 +294,7 @@ void vxm_select_range(Vector<W> &w, Vector<W> &pruned, SR sr,
   detail::check_same_size(pruned.size(), out_size,
                           "vxm_select_range: pruned/A dimension mismatch");
   const plan::ExecPlan pl = detail::plan_fused_op<SR>(
-      plan::OpKind::fused_vxm_select, a, u, no_mask, d, out_size,
-      d.transpose_a);
+      plan::OpKind::vxm, a, u, no_mask, d, out_size, d.transpose_a);
 
   // The one-sweep path adopts the product into w verbatim: same value type
   // (signature) and no mask, so the only extra precondition is the

@@ -203,12 +203,13 @@ struct Stats {
   std::atomic<std::uint64_t> parallel_regions{0};   // OpenMP teams forked
   std::atomic<std::uint64_t> work_items_stolen{0};  // chunks run off-home
 
-  // Execution-planner counters (grb/plan.hpp): how many plans were built
-  // fresh vs served from a snapshot's memo, how often a Config override or
-  // caller hint outranked the cost model, the per-decision outcome mix, and
-  // how many operand conversions the planner explicitly requested.
+  // Execution-planner counters (grb/plan.hpp): how many plans were built,
+  // how often a Config override or caller hint outranked the cost model, the
+  // per-decision outcome mix, and how many operand conversions the planner
+  // explicitly requested.
   std::atomic<std::uint64_t> plans_built{0};          // cost model evaluated
-  std::atomic<std::uint64_t> plans_cached{0};         // served from a PlanCache
+  // Always 0: no plan is memoized. Kept only because perfbench reads it.
+  std::atomic<std::uint64_t> plans_cached{0};
   std::atomic<std::uint64_t> plans_overridden{0};     // hint/override decided
   std::atomic<std::uint64_t> plan_push_decisions{0};  // plans choosing push
   std::atomic<std::uint64_t> plan_pull_decisions{0};  // plans choosing pull

@@ -478,9 +478,9 @@ void stamp_frontier(const Vector<W> &w, Vector<PT> *copy, Vector<LT> *konst,
   if (konst != nullptr) konst->set_bitmap_nvals(ln);
 }
 
-/// Describe a fused op for the planner. `transpose_for_plan` encodes the
-/// product's direction in OpDesc terms (fused_mxv_apply is mxv-like: no
-/// transpose = pull dot, transpose = push scatter).
+/// Describe a fused op for the planner as the product it wraps (`op` is mxv
+/// or vxm). `transpose_for_plan` encodes the product's direction in OpDesc
+/// terms (mxv: no transpose = pull dot, transpose = push scatter).
 template <typename SR, typename AT, typename U, typename MaskT>
 plan::ExecPlan plan_fused_op(plan::OpKind op, const Matrix<AT> &a,
                              const Vector<U> &u, const MaskT &mask,
@@ -535,7 +535,7 @@ void fused_product_stamp(bool pull_form, Vector<W> &w,
   // Direction in OpDesc terms: mxv is a pull dot unless transposed; vxm is a
   // push scatter unless transposed.
   const plan::ExecPlan pl =
-      plan_fused_op<SR>(plan::OpKind::fused_mxv_apply, a, u, mask, d, out_size,
+      plan_fused_op<SR>(plan::OpKind::mxv, a, u, mask, d, out_size,
                         pull_form == d.transpose_a);
 
   // The single-sweep path needs the assign fast-path preconditions: bitmap

@@ -27,17 +27,10 @@
 // (`any`, the BFS case), where a dot stops at the first frontier neighbour,
 // after ~out_size/frontier_nvals probes on average. kPullBias accounts for
 // the constant-factor cost of probing over sequential scatter.
-//
-// Plans are memoized per (op, shape-bucket) in a PlanCache; a
-// lagraph::service snapshot owns one and pre-warms it, and CacheScope
-// installs it thread-locally so kernels deep in a query reuse decisions
-// across a batch without any plumbing through template signatures.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "grb/config.hpp"
 #include "grb/parallel.hpp"
@@ -48,9 +41,9 @@ namespace plan {
 
 /// Operation kinds the planner understands. `traversal` is the algorithm-
 /// level push/pull choice (BFS levels, BC sweeps, msbfs groups); the rest
-/// are the grb kernel entry points. The `fused_*` kinds are single-sweep
-/// compositions (masked mxv/vxm + stamp assigns, vxm + range select) that
-/// run instead of the op chain they replace whenever the operands allow.
+/// are the grb kernel entry points. The fused single-sweep compositions
+/// (masked mxv/vxm + stamp assigns, vxm + range select) are planned as the
+/// product they wrap.
 enum class OpKind : std::uint8_t {
   mxv,
   vxm,
@@ -60,8 +53,6 @@ enum class OpKind : std::uint8_t {
   apply,
   reduce,
   traversal,
-  fused_mxv_apply,
-  fused_vxm_select,
 };
 
 enum class Direction : std::uint8_t { none, push, pull };
@@ -77,7 +68,6 @@ enum class Chosen : std::uint8_t {
   cost_model,       // the cost model's own pick
   config_override,  // Config::force_push / force_pull / force_format
   caller_hint,      // an Advanced-mode algorithm forced it
-  cached,           // served from a PlanCache
 };
 
 const char *name(OpKind k) noexcept;
@@ -139,9 +129,8 @@ struct ExecPlan {
   [[nodiscard]] std::string explain_line() const;
 };
 
-/// Build a plan for `d`: probe the thread-local PlanCache (if one is
-/// installed), apply caller hints and Config overrides, otherwise run the
-/// cost model. Bumps the Stats planner counters.
+/// Build a plan for `d`: run the cost model, then apply Config overrides and
+/// caller hints. Bumps the Stats planner counters.
 ExecPlan make_plan(const OpDesc &d);
 
 /// Fixed per-call overhead in cost-model units, charged on every kernel
@@ -262,55 +251,6 @@ void prepare(const Vec &u, VecFormat f) {
       break;
   }
 }
-
-/// Per-snapshot plan memo, keyed by (op, shape-bucket). Shape buckets are
-/// log₂ ranges of the nnz-like inputs, so one BFS run populates a handful of
-/// entries that every later query with similar frontier densities reuses.
-/// Thread-safe; a snapshot shares one cache across all engine workers.
-class PlanCache {
- public:
-  bool lookup(std::uint64_t key, ExecPlan &out) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) return false;
-    out = it->second;
-    return true;
-  }
-
-  void insert(std::uint64_t key, const ExecPlan &p) {
-    std::lock_guard<std::mutex> lk(mu_);
-    map_.emplace(key, p);
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return map_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, ExecPlan> map_;
-};
-
-/// The cache make_plan consults on this thread (nullptr = plan fresh).
-PlanCache *active_cache() noexcept;
-
-/// RAII installer for a PlanCache: algorithms and service workers wrap query
-/// execution in a CacheScope so every kernel below them memoizes into the
-/// snapshot's cache — no cache parameter threads through the template API.
-class CacheScope {
- public:
-  explicit CacheScope(PlanCache *cache) noexcept;
-  ~CacheScope();
-  CacheScope(const CacheScope &) = delete;
-  CacheScope &operator=(const CacheScope &) = delete;
-
- private:
-  PlanCache *prev_;
-};
-
-/// Bucketed memo key for `d` (exposed for tests and pre-warming).
-std::uint64_t cache_key(const OpDesc &d) noexcept;
 
 }  // namespace plan
 }  // namespace grb

@@ -1,16 +1,16 @@
-// grb/plan.cpp — cost model, overrides, and memoization for the execution
-// planner. See plan.hpp for the model; this file is the only place a
-// push/pull threshold or format-switch constant lives.
+// grb/plan.cpp — cost model and overrides for the execution planner. See
+// plan.hpp for the model; this file is the only place a push/pull threshold
+// or format-switch constant lives.
 
 #include "grb/plan.hpp"
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 
 namespace grb {
@@ -29,24 +29,6 @@ constexpr double kTcSkew = 4.0;
 
 /// GAP uses Δ = 2 on [1, 255]-weighted graphs; scale to the actual max.
 constexpr double kDeltaDivisor = 128.0;
-
-thread_local PlanCache *g_active_cache = nullptr;
-
-/// log₂ shape bucket: 0 for empty, else bit_width. Two sizes in the same
-/// bucket are within 2× of each other — close enough to share a decision.
-std::uint64_t bucket(Index x) noexcept {
-  return x == 0 ? 0 : std::bit_width(static_cast<std::uint64_t>(x));
-}
-
-struct KeyPacker {
-  std::uint64_t key = 0;
-  int used = 0;
-  void pack(std::uint64_t v, int bits) noexcept {
-    const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
-    key |= (std::min(v, mask) & mask) << used;
-    used += bits;
-  }
-};
 
 double mean_degree(const OpDesc &d) noexcept {
   return d.a_rows > 0
@@ -144,13 +126,8 @@ void decide_dot_operand(ExecPlan &p) {
 void plan_mxv_vxm(const OpDesc &d, ExecPlan &p) {
   // Direction is structural here: (vxm, no transpose) and (mxv, transpose)
   // scatter — push; the other two run dot products — pull. The planner's
-  // job is the probed operand's format and the team size. The fused kinds
-  // wrap one of these products (fused_mxv_apply an mxv-shaped masked dot or
-  // vxm-shaped scatter, fused_vxm_select an unmasked vxm) and inherit the
-  // same direction rule.
-  const bool vxm_like =
-      d.op == OpKind::vxm || d.op == OpKind::fused_vxm_select;
-  const bool push = vxm_like != d.transpose_a;
+  // job is the probed operand's format and the team size.
+  const bool push = (d.op == OpKind::vxm) != d.transpose_a;
   const double davg = mean_degree(d);
   const double bytes = width_byte_factor(d.a_width);
   p.cost_push = kCallOverheadUnits +
@@ -404,8 +381,6 @@ const char *name(OpKind k) noexcept {
     case OpKind::apply: return "apply";
     case OpKind::reduce: return "reduce";
     case OpKind::traversal: return "traversal";
-    case OpKind::fused_mxv_apply: return "fused_mxv_apply";
-    case OpKind::fused_vxm_select: return "fused_vxm_select";
   }
   return "?";
 }
@@ -442,68 +417,11 @@ const char *name(Chosen c) noexcept {
     case Chosen::cost_model: return "cost model";
     case Chosen::config_override: return "config override";
     case Chosen::caller_hint: return "caller hint";
-    case Chosen::cached: return "cached";
   }
   return "?";
 }
 
-std::uint64_t cache_key(const OpDesc &d) noexcept {
-  KeyPacker k;
-  k.pack(static_cast<std::uint64_t>(d.op), 4);
-  k.pack(bucket(d.a_nvals), 6);
-  // 5-bit buckets clamp ≥ 2^30 — plenty for these inputs; the freed bits
-  // carry the storage-width dimension below (the packer is budgeted at
-  // exactly 64 bits).
-  k.pack(bucket(d.u_nvals), 5);
-  k.pack(bucket(d.pull_candidates), 5);
-  k.pack(bucket(d.mask_nvals), 5);
-  k.pack(bucket(d.out_size), 5);
-  k.pack(bucket(d.v_nvals), 5);
-  k.pack(bucket(d.b_nvals), 5);
-  // Width is a plan dimension: a u32 snapshot and a u64 intermediate with
-  // the same shape must not share a byte-cost decision.
-  k.pack((d.a_width == IndexWidth::u32 ? 1u : 0u) |
-             (d.b_width == IndexWidth::u32 ? 2u : 0u),
-         2);
-  k.pack((d.masked ? 1u : 0u) | (d.mask_complement ? 2u : 0u) |
-             (d.mask_structural ? 4u : 0u) | (d.transpose_a ? 8u : 0u) |
-             (d.transpose_b ? 16u : 0u) | (d.has_terminal ? 32u : 0u) |
-             (d.operands_aliased ? 64u : 0u) | (d.has_transpose ? 128u : 0u),
-         8);
-  k.pack(static_cast<std::uint64_t>(d.hint), 2);
-  // Config knobs are part of the key: a cached decision must never outlive
-  // the overrides it was made under.
-  k.pack((config().force_push ? 1u : 0u) | (config().force_pull ? 2u : 0u) |
-             (bitmap_allowed() ? 4u : 0u),
-         3);
-  k.pack(static_cast<std::uint64_t>(config().force_format), 2);
-  k.pack(static_cast<std::uint64_t>(config().force_index_width), 2);
-  k.pack(static_cast<std::uint64_t>(d.u_format + 1), 2);
-  k.pack(static_cast<std::uint64_t>(d.v_format + 1), 2);
-  return k.key;
-}
-
-PlanCache *active_cache() noexcept { return g_active_cache; }
-
-CacheScope::CacheScope(PlanCache *cache) noexcept : prev_(g_active_cache) {
-  g_active_cache = cache;
-}
-
-CacheScope::~CacheScope() { g_active_cache = prev_; }
-
 ExecPlan make_plan(const OpDesc &d) {
-  PlanCache *cache = g_active_cache;
-  std::uint64_t key = 0;
-  if (cache != nullptr) {
-    key = cache_key(d);
-    ExecPlan hit;
-    if (cache->lookup(key, hit)) {
-      stats().plans_cached.fetch_add(1, std::memory_order_relaxed);
-      hit.chosen = Chosen::cached;
-      return hit;
-    }
-  }
-
   stats().plans_built.fetch_add(1, std::memory_order_relaxed);
   maybe_load_calibration();
   ExecPlan p;
@@ -512,8 +430,6 @@ ExecPlan make_plan(const OpDesc &d) {
   switch (d.op) {
     case OpKind::mxv:
     case OpKind::vxm:
-    case OpKind::fused_mxv_apply:
-    case OpKind::fused_vxm_select:
       plan_mxv_vxm(d, p);
       break;
     case OpKind::mxm:
@@ -531,7 +447,6 @@ ExecPlan make_plan(const OpDesc &d) {
       decide_direction(d, p);
       break;
   }
-  if (cache != nullptr) cache->insert(key, p);
   return p;
 }
 

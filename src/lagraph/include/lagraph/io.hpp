@@ -2,8 +2,10 @@
 // format (MMRead / MMWrite) and a fast binary format (BinRead / BinWrite).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -179,6 +181,10 @@ int bin_read(grb::Matrix<T> &a, std::istream &in, char *msg) {
     const std::uint64_t nrows = header[0];
     const std::uint64_t ncols = header[1];
     const std::uint64_t nvals = header[2];
+    if (nrows == UINT64_MAX) {
+      return detail::set_msg(msg, LAGRAPH_IO_ERROR,
+                             "bin_read: row count overflows");
+    }
     std::vector<grb::Index> rp(nrows + 1);
     std::vector<grb::Index> cx(nvals);
     std::vector<T> vx(nvals);
@@ -190,6 +196,19 @@ int bin_read(grb::Matrix<T> &a, std::istream &in, char *msg) {
             static_cast<std::streamsize>(vx.size() * sizeof(T)));
     if (!in) {
       return detail::set_msg(msg, LAGRAPH_IO_ERROR, "bin_read: truncated");
+    }
+    // adopt_csr checks only array sizes; the file's CSR structure is
+    // untrusted, so every row range and column index is checked here.
+    if (rp.front() != 0 || rp.back() != nvals ||
+        std::adjacent_find(rp.begin(), rp.end(), std::greater<>()) !=
+            rp.end()) {
+      return detail::set_msg(msg, LAGRAPH_IO_ERROR,
+                             "bin_read: malformed row pointer");
+    }
+    if (std::any_of(cx.begin(), cx.end(),
+                    [&](grb::Index j) { return j >= ncols; })) {
+      return detail::set_msg(msg, LAGRAPH_IO_ERROR,
+                             "bin_read: column index out of range");
     }
     a = grb::Matrix<T>(nrows, ncols);
     a.adopt_csr(std::move(rp), std::move(cx), std::move(vx), false);

@@ -2,7 +2,8 @@
 //
 // A deliberately minimal HTTP/1.0 server: one dedicated thread blocks in
 // poll() on the listening socket (plus a self-pipe for shutdown), accepts
-// one connection at a time, answers, closes. No dependencies beyond POSIX
+// one connection at a time, answers, closes. A client that stalls mid-request
+// loses the thread after ~2 s. No dependencies beyond POSIX
 // sockets; no keep-alive, no TLS, no request bodies — it serves four
 // read-only debug endpoints and nothing else:
 //

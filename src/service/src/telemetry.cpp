@@ -6,8 +6,10 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +22,11 @@ namespace lagraph {
 namespace service {
 
 namespace {
+
+// Longest a connection may hold the single serve thread: bounds each recv
+// and send, and the whole request-head read, so a stalled client cannot
+// starve /healthz or block stop().
+constexpr std::chrono::seconds kConnectionTimeout{2};
 
 std::string http_response(const char *status, const char *content_type,
                           const std::string &body) {
@@ -216,6 +223,10 @@ void TelemetryServer::serve_loop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int conn = ::accept(listen_fd_, nullptr, nullptr);
     if (conn < 0) continue;
+    timeval tv{};
+    tv.tv_sec = kConnectionTimeout.count();
+    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(conn, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
     handle_connection(conn);
     ::close(conn);
   }
@@ -225,7 +236,10 @@ void TelemetryServer::handle_connection(int fd) {
   // Read until the end of the request head (we never accept bodies).
   std::string req;
   char buf[2048];
-  while (req.size() < 16 * 1024 && req.find("\r\n\r\n") == std::string::npos) {
+  const auto deadline = std::chrono::steady_clock::now() + kConnectionTimeout;
+  while (req.size() < 16 * 1024 &&
+         req.find("\r\n\r\n") == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     req.append(buf, static_cast<std::size_t>(n));

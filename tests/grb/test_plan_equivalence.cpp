@@ -9,8 +9,7 @@
 // (num_threads = 1, force_format = sparse) on an Erdős–Rényi and a
 // power-law Kronecker graph. A push-only BFS level loop is compared against
 // the pull-forced one the same way, plus direct unit tests of the decision
-// precedence (caller hint > Config override > cost model) and the
-// PlanCache memo.
+// precedence (caller hint > Config override > cost model).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -517,46 +516,6 @@ TEST(PlanDecision, OverriddenCounterOnlyOnOutcomeChange) {
   grb::config().force_pull = true;  // disagrees: counts
   (void)grb::plan::make_plan(od);
   EXPECT_EQ(grb::stats().plans_overridden.load(), before + 1);
-}
-
-TEST(PlanCacheTest, MemoizesWithinScope) {
-  ConfigGuard guard;
-  ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
-  grb::plan::PlanCache cache;
-  auto od = traversal_desc(4096, 64, 4032, true);
-
-  const auto hits_before = grb::stats().plans_cached.load();
-  {
-    grb::plan::CacheScope scope(&cache);
-    auto first = grb::plan::make_plan(od);
-    EXPECT_EQ(cache.size(), 1u);
-    auto second = grb::plan::make_plan(od);
-    EXPECT_EQ(second.direction, first.direction);
-    EXPECT_EQ(second.chosen, grb::plan::Chosen::cached);
-    EXPECT_EQ(grb::stats().plans_cached.load(), hits_before + 1);
-    // A different shape bucket misses.
-    auto od2 = traversal_desc(4096, 2048, 256, true);
-    (void)grb::plan::make_plan(od2);
-    EXPECT_EQ(cache.size(), 2u);
-  }
-  // Outside the scope nothing is cached.
-  EXPECT_EQ(grb::plan::active_cache(), nullptr);
-  const auto hits_after = grb::stats().plans_cached.load();
-  (void)grb::plan::make_plan(od);
-  EXPECT_EQ(grb::stats().plans_cached.load(), hits_after);
-}
-
-TEST(PlanCacheTest, ConfigKnobsPartitionTheKey) {
-  ConfigGuard guard;
-  ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
-  auto od = traversal_desc(4096, 2048, 256, true);
-  const auto base_key = grb::plan::cache_key(od);
-  grb::config().force_push = true;
-  EXPECT_NE(grb::plan::cache_key(od), base_key)
-      << "a cached plan must not outlive the override it was made under";
-  grb::config().force_push = false;
-  grb::config().force_format = grb::ForceFormat::sparse;
-  EXPECT_NE(grb::plan::cache_key(od), base_key);
 }
 
 // ---- calibration: fitted coefficients are result-invisible --------------

@@ -2,8 +2,11 @@
 // pattern, symmetric), binary round trips, and malformed-input handling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/test_graphs.hpp"
 
@@ -137,6 +140,38 @@ TEST(Io, BinRejectsWrongMagicAndType) {
     ASSERT_EQ(lagraph::bin_write(a, ss, msg), LAGRAPH_OK);
     grb::Matrix<std::int32_t> b(0, 0);
     EXPECT_EQ(lagraph::bin_read(b, ss, msg), LAGRAPH_IO_ERROR);
+  }
+  // Well-sized but malformed CSR arrays: each must be rejected before the
+  // matrix adopts them (a later for_each would read out of bounds).
+  struct Blob {
+    const char *what;
+    std::uint64_t nrows, ncols;
+    std::vector<std::uint64_t> rp, cx;
+  };
+  const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const Blob blobs[] = {
+      {"rowptr past nvals, column past ncols", 1, 2, {0, 5}, {7}},
+      {"nrows + 1 wraps to 0", kMax, 2, {}, {}},
+      {"rowptr[0] != 0", 1, 2, {1, 1}, {0}},
+      {"rowptr decreases", 2, 2, {0, 2, 1}, {0}},
+      {"rowptr[nrows] != nvals", 1, 2, {0, 0}, {0}},
+      {"column index >= ncols", 1, 2, {0, 1}, {2}},
+  };
+  for (const Blob &b : blobs) {
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    ss.write(lagraph::kBinMagic, sizeof(lagraph::kBinMagic));
+    const std::uint64_t header[4] = {b.nrows, b.ncols, b.cx.size(),
+                                     sizeof(double)};
+    ss.write(reinterpret_cast<const char *>(header), sizeof(header));
+    ss.write(reinterpret_cast<const char *>(b.rp.data()),
+             static_cast<std::streamsize>(b.rp.size() * sizeof(std::uint64_t)));
+    ss.write(reinterpret_cast<const char *>(b.cx.data()),
+             static_cast<std::streamsize>(b.cx.size() * sizeof(std::uint64_t)));
+    const std::vector<double> vx(b.cx.size(), 1.0);
+    ss.write(reinterpret_cast<const char *>(vx.data()),
+             static_cast<std::streamsize>(vx.size() * sizeof(double)));
+    grb::Matrix<double> m(0, 0);
+    EXPECT_EQ(lagraph::bin_read(m, ss, msg), LAGRAPH_IO_ERROR) << b.what;
   }
 }
 

@@ -2,8 +2,14 @@
 // end to end — kernel spans stamped with request ids, per-request roll-ups
 // in the RequestLog ring, the slow-query log's deterministic deadline-miss
 // trigger, and the embedded HTTP telemetry server scraped over a real
-// 127.0.0.1 socket (/healthz, /metrics format lint, /statusz, /requestz).
+// 127.0.0.1 socket (/healthz, /metrics format lint, /statusz, /requestz),
+// including a client that stalls mid-request.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
@@ -16,6 +22,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/test_graphs.hpp"
@@ -74,6 +81,24 @@ std::string scrape(const Engine &engine, const std::string &target) {
   return TelemetryServer::http_get("127.0.0.1", tel->port(), target);
 }
 
+// Connect to 127.0.0.1:`port` and send `partial` — a request that never
+// finishes. Returns the socket, or -1 on failure.
+int stalled_client(int port, const std::string &partial) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr)) < 0 ||
+      ::send(fd, partial.data(), partial.size(), 0) !=
+          static_cast<ssize_t>(partial.size())) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 }  // namespace
 
 TEST(RequestTracing, KernelSpansCarryRequestIds) {
@@ -93,14 +118,24 @@ TEST(RequestTracing, KernelSpansCarryRequestIds) {
   // with its id — that is the tentpole contract /requestz is built on.
   // (The query wrapper span is stamped too but closes after the roll-up
   // snapshots its count, so span_count covers the kernel spans only.)
+  // Every traversal level is planned by the cost model itself, exactly as
+  // the library plans the same BFS outside the engine.
   std::size_t stamped = 0;
   std::size_t kernel_stamped = 0;
+  std::size_t levels = 0;
   for (const auto &s : grb::trace::collect()) {
     if (s.request_id != res.request_id) continue;
     ++stamped;
     if (s.kind != grb::trace::SpanKind::query) ++kernel_stamped;
+    if (s.kind == grb::trace::SpanKind::msbfs_level) {
+      ++levels;
+      EXPECT_STREQ(grb::plan::name(static_cast<grb::plan::Chosen>(s.chosen)),
+                   grb::plan::name(grb::plan::Chosen::cost_model))
+          << "level " << s.iter;
+    }
   }
   EXPECT_GT(stamped, 0u);
+  EXPECT_GT(levels, 0u);
 
   // The roll-up ring retained the request, span count included.
   svc::RequestRecord rec;
@@ -351,6 +386,43 @@ TEST(Telemetry, StatuszAndRequestzReconstructTheRequest) {
             "request not in the retained window\n");
   EXPECT_EQ(scrape(engine, "/requestz"),
             "usage: /requestz?id=<request id>\n");
+  engine.stop();
+}
+
+// A client that sends half a request line and goes silent must not starve
+// other scrapes or block shutdown. Both checks are bounded: on a regression
+// the stalled socket is closed, which frees the serve thread, so the test
+// fails instead of hanging.
+TEST(Telemetry, StalledClientDoesNotBlockServer) {
+  auto snap = make_kron_snapshot(6, 19);
+  EngineConfig cfg;
+  cfg.telemetry_port = 0;
+  Engine engine(snap, cfg);
+  TelemetryServer *tel = engine.telemetry();
+  ASSERT_NE(tel, nullptr);
+  const int port = tel->port();
+  ASSERT_GT(port, 0);
+  constexpr auto kBound = std::chrono::seconds(8);
+
+  const int first = stalled_client(port, "GET /he");
+  ASSERT_GE(first, 0);
+  auto health = std::async(std::launch::async, [port] {
+    return TelemetryServer::http_get("127.0.0.1", port, "/healthz");
+  });
+  const bool answered = health.wait_for(kBound) == std::future_status::ready;
+  ::close(first);
+  EXPECT_TRUE(answered) << "/healthz waited on a stalled client";
+  EXPECT_EQ(health.get(), "ok\n");
+
+  const int second = stalled_client(port, "GET /st");
+  ASSERT_GE(second, 0);
+  // Let the serve thread accept the stalled connection before stopping.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  auto stopped = std::async(std::launch::async, [tel] { tel->stop(); });
+  const bool returned = stopped.wait_for(kBound) == std::future_status::ready;
+  ::close(second);
+  EXPECT_TRUE(returned) << "stop() waited on a stalled client";
+  stopped.get();
   engine.stop();
 }
 

@@ -9,8 +9,8 @@
 //             lcc, cdlp, msbfs, stats
 // Planner introspection:
 //   explain [OP]         print the grb::plan execution plans the given op
-//                        would run on this graph (OP: bfs|mxv|vxm|mxm|ewise|
-//                        fused, default bfs) — cost-model inputs, chosen
+//                        would run on this graph (OP: bfs|mxv|vxm|mxm|ewise,
+//                        default bfs) — cost-model inputs, chosen
 //                        direction, operand formats, thread-team size, and
 //                        the loaded calibration coefficients
 //   explain query 'PAT'  compile the pattern query against this graph and
@@ -168,7 +168,7 @@ int usage() {
       "       lagraph_cli fuzz [--query] [--seconds X|--ops N] [--seed N]\n"
       "                        [--corpus DIR] [--replay FILE] [--out FILE]\n"
       "                        [--emit-corpus DIR]\n"
-      "  explain [bfs|mxv|vxm|mxm|ewise|fused]  print execution plans\n"
+      "  explain [bfs|mxv|vxm|mxm|ewise]  print execution plans\n"
       "  explain query 'PATTERN'  print optimized vs naive query plans\n"
       "  --mtx FILE | --graphalytics V E | --gen KIND SCALE\n"
       "  --undirected --source N --delta X --k N --top N\n"
@@ -998,27 +998,9 @@ int main(int argc, char **argv) {
       show("eWiseAdd sparse + bitmap (SSSP relax shape)", od);
       od.op = grb::plan::OpKind::ewise_mult;
       show("eWiseMult sparse x bitmap (intersection)", od);
-    } else if (opt.explain_op == "fused") {
-      // The fusion catalogue (docs/API.md): product + follow-up op(s) in one
-      // sweep. The plan is the product's own (direction, probed format,
-      // cost), shown at the same BFS-style stages as `explain bfs`.
-      auto od = base_desc(grb::plan::OpKind::fused_mxv_apply);
-      od.u_nvals = 1;
-      od.masked = true;
-      od.mask_complement = true;
-      od.mask_structural = true;
-      od.mask_nvals = 1;
-      od.has_terminal = true;
-      show("fused mxv+apply, early BFS level (frontier = source)", od);
-      od.u_nvals = std::max<grb::Index>(1, n / 4);
-      od.mask_nvals = std::max<grb::Index>(1, n / 3);
-      show("fused mxv+apply, mid BFS level (frontier ~ n/4)", od);
-      auto ov = base_desc(grb::plan::OpKind::fused_vxm_select);
-      ov.u_nvals = std::max<grb::Index>(1, n / 16);
-      show("fused vxm+select, SSSP light relax (bucket = n/16)", ov);
     } else {
       std::fprintf(stderr, "explain: unknown op '%s' "
-                   "(expected bfs|mxv|vxm|mxm|ewise|fused|query)\n",
+                   "(expected bfs|mxv|vxm|mxm|ewise|query)\n",
                    opt.explain_op.c_str());
       return 2;
     }
@@ -1041,10 +1023,9 @@ int main(int argc, char **argv) {
                   "trace --calibration-out)\n");
     }
     const grb::Stats &ps = grb::stats();
-    std::printf("planner counters: %llu built, %llu cached, %llu overridden, "
+    std::printf("planner counters: %llu built, %llu overridden, "
                 "%llu push / %llu pull, %llu format conversions\n",
                 static_cast<unsigned long long>(ps.plans_built.load()),
-                static_cast<unsigned long long>(ps.plans_cached.load()),
                 static_cast<unsigned long long>(ps.plans_overridden.load()),
                 static_cast<unsigned long long>(ps.plan_push_decisions.load()),
                 static_cast<unsigned long long>(ps.plan_pull_decisions.load()),
