@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "grb/types.hpp"
 
@@ -60,13 +59,6 @@ struct Config {
   bool force_push = false;
   bool force_pull = false;
   ForceFormat force_format = ForceFormat::none;
-
-  /// Calibration-coefficient file (grb::plan::Calibration). When non-empty,
-  /// the planner lazily loads fitted per-machine ns/cost-unit coefficients
-  /// from this path on the next make_plan() and tags plans' explain()
-  /// output with nanosecond estimates. Empty (default) = stay in model
-  /// units. Written by `lagraph_cli trace --calibration-out`.
-  std::string calibration_file;
 
   /// grb::trace sampling gate (grb/trace.hpp): 0 disables span recording
   /// entirely (the default — a ScopedSpan then costs one branch and touches

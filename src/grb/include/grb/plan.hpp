@@ -141,41 +141,6 @@ ExecPlan make_plan(const OpDesc &d);
 /// unchanged.
 inline constexpr double kCallOverheadUnits = 64.0;
 
-/// Fitted per-machine translation between cost-model units and wall time,
-/// one coefficient per traversal direction. Cost-model *decisions* compare
-/// unit counts against unit counts and never need these; they exist so
-/// `explain` and the trace calibration report can render model estimates in
-/// nanoseconds, and so repeated trace runs can measure model drift on this
-/// machine. Persisted as a small JSON file (Config::calibration_file) and
-/// fitted offline by `lagraph_cli trace --calibration-out`.
-struct Calibration {
-  double push_ns_per_unit = 0.0;  // 0 = not fitted yet
-  double pull_ns_per_unit = 0.0;
-  std::uint64_t samples = 0;        // spans folded into the fit
-  std::uint64_t fitted_at_epoch_s = 0;  // wall-clock seconds of last fit
-  std::string source;               // file it was loaded from, "" = in-memory
-  bool loaded = false;              // true once load/set succeeded
-};
-
-/// Load coefficients from a calibration file (the lagraph-calibration-v1
-/// JSON written by save_calibration / `lagraph_cli trace --calibration-out`).
-/// Returns false (and leaves the current state untouched) when the file is
-/// missing or malformed. Thread-safe.
-bool load_calibration(const std::string &path);
-
-/// Persist the current coefficients to `path`. Returns false on I/O error.
-bool save_calibration(const std::string &path);
-
-/// Value copy of the current coefficient state. Thread-safe.
-Calibration calibration_snapshot() noexcept;
-
-/// Install coefficients directly (used by the CLI after a trace fit and by
-/// tests). Thread-safe.
-void set_calibration(const Calibration &c) noexcept;
-
-/// Drop back to the unfitted state (tests).
-void reset_calibration() noexcept;
-
 /// Thread-team size for `total_work` units: the PR-2 gating rule
 /// (effective_threads() when the work clears kParallelGrain, else the
 /// bit-exact serial schedule), stated once here instead of inline in every

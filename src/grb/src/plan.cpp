@@ -8,10 +8,6 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <mutex>
-#include <sstream>
 
 namespace grb {
 namespace plan {
@@ -226,150 +222,7 @@ void plan_ewise(const OpDesc &d, ExecPlan &p) {
   p.threads = team_size(d.u_nvals + d.v_nvals);
 }
 
-/// Global calibration-coefficient state. Coefficients are racy-update
-/// atomics (they're statistics, not invariants); the source string and file
-/// I/O take a mutex. Decisions never read these — they only translate model
-/// units to nanoseconds for explain/trace output.
-struct CalState {
-  std::atomic<double> push_ns{0.0};
-  std::atomic<double> pull_ns{0.0};
-  std::atomic<std::uint64_t> samples{0};
-  std::atomic<std::uint64_t> fitted_at{0};
-  std::atomic<bool> loaded{false};
-  std::mutex mu;       // guards source + lazy-load bookkeeping
-  std::string source;
-  std::string attempted_path;  // last Config::calibration_file we tried
-};
-
-CalState &cal() {
-  static CalState c;
-  return c;
-}
-
-/// Extract `"key": <number>` from a one-object JSON blob. Hand-rolled like
-/// the bench/trace writers — no JSON library in the image.
-bool json_number(const std::string &text, const char *key, double &out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t i = text.find(':', at + needle.size());
-  if (i == std::string::npos) return false;
-  ++i;
-  while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-  char *end = nullptr;
-  const double v = std::strtod(text.c_str() + i, &end);
-  if (end == text.c_str() + i) return false;
-  out = v;
-  return true;
-}
-
-/// Lazily load Config::calibration_file the first time a plan is built
-/// under it (or after the path changes). A failed attempt is remembered so
-/// a missing file costs one stat, not one per plan.
-void maybe_load_calibration() {
-  const std::string &path = config().calibration_file;
-  if (path.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(cal().mu);
-    if (cal().attempted_path == path) return;
-    cal().attempted_path = path;
-  }
-  load_calibration(path);
-}
-
 }  // namespace
-
-bool load_calibration(const std::string &path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  if (text.find("\"lagraph-calibration-v1\"") == std::string::npos)
-    return false;
-  double push_ns = 0.0, pull_ns = 0.0, samples = 0.0, fitted = 0.0;
-  if (!json_number(text, "push_ns_per_unit", push_ns) ||
-      !json_number(text, "pull_ns_per_unit", pull_ns))
-    return false;
-  if (push_ns < 0.0 || pull_ns < 0.0) return false;
-  json_number(text, "samples", samples);
-  json_number(text, "fitted_at_epoch_s", fitted);
-  CalState &c = cal();
-  c.push_ns.store(push_ns, std::memory_order_relaxed);
-  c.pull_ns.store(pull_ns, std::memory_order_relaxed);
-  c.samples.store(static_cast<std::uint64_t>(std::max(0.0, samples)),
-                  std::memory_order_relaxed);
-  c.fitted_at.store(static_cast<std::uint64_t>(std::max(0.0, fitted)),
-                    std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(c.mu);
-    c.source = path;
-    c.attempted_path = path;
-  }
-  c.loaded.store(true, std::memory_order_release);
-  return true;
-}
-
-bool save_calibration(const std::string &path) {
-  const Calibration c = calibration_snapshot();
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "  \"schema\": \"lagraph-calibration-v1\",\n"
-                "  \"push_ns_per_unit\": %.6g,\n"
-                "  \"pull_ns_per_unit\": %.6g,\n"
-                "  \"samples\": %" PRIu64 ",\n"
-                "  \"fitted_at_epoch_s\": %" PRIu64 "\n"
-                "}\n",
-                c.push_ns_per_unit, c.pull_ns_per_unit, c.samples,
-                c.fitted_at_epoch_s);
-  out << buf;
-  return static_cast<bool>(out);
-}
-
-Calibration calibration_snapshot() noexcept {
-  CalState &s = cal();
-  Calibration c;
-  c.push_ns_per_unit = s.push_ns.load(std::memory_order_relaxed);
-  c.pull_ns_per_unit = s.pull_ns.load(std::memory_order_relaxed);
-  c.samples = s.samples.load(std::memory_order_relaxed);
-  c.fitted_at_epoch_s = s.fitted_at.load(std::memory_order_relaxed);
-  c.loaded = s.loaded.load(std::memory_order_acquire);
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    c.source = s.source;
-  }
-  return c;
-}
-
-void set_calibration(const Calibration &c) noexcept {
-  CalState &s = cal();
-  s.push_ns.store(c.push_ns_per_unit, std::memory_order_relaxed);
-  s.pull_ns.store(c.pull_ns_per_unit, std::memory_order_relaxed);
-  s.samples.store(c.samples, std::memory_order_relaxed);
-  s.fitted_at.store(c.fitted_at_epoch_s, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.source = c.source;
-  }
-  s.loaded.store(true, std::memory_order_release);
-}
-
-void reset_calibration() noexcept {
-  CalState &s = cal();
-  s.push_ns.store(0.0, std::memory_order_relaxed);
-  s.pull_ns.store(0.0, std::memory_order_relaxed);
-  s.samples.store(0, std::memory_order_relaxed);
-  s.fitted_at.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.source.clear();
-    s.attempted_path.clear();
-  }
-  s.loaded.store(false, std::memory_order_release);
-}
 
 const char *name(OpKind k) noexcept {
   switch (k) {
@@ -423,7 +276,6 @@ const char *name(Chosen c) noexcept {
 
 ExecPlan make_plan(const OpDesc &d) {
   stats().plans_built.fetch_add(1, std::memory_order_relaxed);
-  maybe_load_calibration();
   ExecPlan p;
   p.op = d.op;
   p.desc = d;
@@ -525,20 +377,6 @@ std::string ExecPlan::explain() const {
                   " (bias %.1fx, call overhead %.0f)\n",
                   cost_push, cost_pull, kPullBias, kCallOverheadUnits);
     out += buf;
-    const Calibration c = calibration_snapshot();
-    if (c.loaded && (c.push_ns_per_unit > 0.0 || c.pull_ns_per_unit > 0.0)) {
-      const double ns = direction == Direction::pull
-                            ? cost_pull * c.pull_ns_per_unit
-                            : cost_push * c.push_ns_per_unit;
-      std::snprintf(buf, sizeof(buf),
-                    "  calibrated: ~%.1f us for the chosen path"
-                    " (%.2f/%.2f ns per push/pull unit, %" PRIu64
-                    " samples%s%s)\n",
-                    ns / 1000.0, c.push_ns_per_unit, c.pull_ns_per_unit,
-                    c.samples, c.source.empty() ? "" : ", from ",
-                    c.source.c_str());
-      out += buf;
-    }
   }
   std::snprintf(buf, sizeof(buf),
                 "  formats: A=%s B=%s mask=%s u=%s v=%s%s\n", name(a_format),

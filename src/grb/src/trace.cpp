@@ -448,8 +448,8 @@ CalibrationReport calibrate(const std::vector<Span> &spans,
   rep.ns_per_cost = scales[scales.size() / 2];
 
   // Per-direction fits: push and pull kernels have different unit costs
-  // (streaming scatter vs random probe), so the persisted Calibration keeps
-  // one coefficient each. Median again — robust to the tail this report
+  // (streaming scatter vs random probe), and kPullBias holds only while both
+  // are priced consistently. Median again — robust to the tail this report
   // exists to expose.
   const auto median_of = [](std::vector<double> &v) {
     if (v.empty()) return 0.0;

@@ -8,6 +8,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lagraph/graph.hpp"
@@ -59,14 +60,13 @@ int mm_read(grb::Matrix<T> &a, std::istream &in, char *msg) {
     std::istringstream sizes(line);
     std::uint64_t nrows = 0, ncols = 0, nvals = 0;
     sizes >> nrows >> ncols >> nvals;
-    if (sizes.fail()) {
+    // A dimension of 2^64-1 has no n+1-entry row pointer. nvals is not
+    // trusted either: nothing is reserved from it, the entries must exist.
+    if (sizes.fail() || nrows == UINT64_MAX || ncols == UINT64_MAX) {
       return detail::set_msg(msg, LAGRAPH_IO_ERROR, "mm_read: bad size line");
     }
     std::vector<grb::Index> ri, ci;
     std::vector<T> vx;
-    ri.reserve(nvals);
-    ci.reserve(nvals);
-    vx.reserve(nvals);
     for (std::uint64_t e = 0; e < nvals; ++e) {
       if (!detail::next_data_line(in, line)) {
         return detail::set_msg(msg, LAGRAPH_IO_ERROR,
@@ -89,9 +89,12 @@ int mm_read(grb::Matrix<T> &a, std::istream &in, char *msg) {
         vx.push_back(static_cast<T>(x));
       }
     }
-    a = grb::Matrix<T>(nrows, ncols);
-    a.build(std::span<const grb::Index>(ri), std::span<const grb::Index>(ci),
-            std::span<const T>(vx), grb::Second{});
+    // Built aside and moved in only on success: a failed read leaves `a`.
+    grb::Matrix<T> out(nrows, ncols);
+    out.build(std::span<const grb::Index>(ri),
+              std::span<const grb::Index>(ci), std::span<const T>(vx),
+              grb::Second{});
+    a = std::move(out);
     return LAGRAPH_OK;
   });
 }

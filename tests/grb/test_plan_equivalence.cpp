@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -516,80 +515,6 @@ TEST(PlanDecision, OverriddenCounterOnlyOnOutcomeChange) {
   grb::config().force_pull = true;  // disagrees: counts
   (void)grb::plan::make_plan(od);
   EXPECT_EQ(grb::stats().plans_overridden.load(), before + 1);
-}
-
-// ---- calibration: fitted coefficients are result-invisible --------------
-//
-// Calibration only translates cost-model units into nanoseconds for
-// explain/trace output; decisions compare units against units. Installing
-// wildly wrong coefficients must therefore change neither results nor the
-// planner's direction/dispatch choices.
-
-struct CalibrationReset {
-  CalibrationReset() { grb::plan::reset_calibration(); }
-  ~CalibrationReset() { grb::plan::reset_calibration(); }
-};
-
-TEST(PlanCalibration, CoefficientsNeverChangeResultsOrDirection) {
-  ConfigGuard guard;
-  CalibrationReset cal;
-  ConfigGuard::restore({0, false, false, grb::ForceFormat::none});
-
-  Matrix<double> a = make_graph(true, 8);
-  Matrix<double> at = grb::transposed(a);
-  at.finish();
-  auto ref_lv = bfs_levels(a, at, 0);
-  auto od = traversal_desc(4096, 2048, 256, true);
-  const auto ref_pl = grb::plan::make_plan(od);
-
-  const std::pair<double, double> extremes[] = {{1e6, 1e-3}, {1e-3, 1e6}};
-  for (const auto &[push_ns, pull_ns] : extremes) {
-    grb::plan::Calibration c;
-    c.push_ns_per_unit = push_ns;
-    c.pull_ns_per_unit = pull_ns;
-    c.samples = 1000;
-    c.loaded = true;
-    grb::plan::set_calibration(c);
-    auto got_lv = bfs_levels(a, at, 0);
-    expect_identical(ref_lv, got_lv, "bfs levels under extreme calibration");
-    const auto pl = grb::plan::make_plan(od);
-    EXPECT_EQ(pl.direction, ref_pl.direction);
-    EXPECT_EQ(pl.chosen, ref_pl.chosen);
-  }
-}
-
-TEST(PlanCalibration, RoundTripPersistence) {
-  CalibrationReset cal;
-  grb::plan::Calibration c;
-  c.push_ns_per_unit = 3.25;
-  c.pull_ns_per_unit = 7.5;
-  c.samples = 420;
-  c.fitted_at_epoch_s = 1700000000;
-  c.loaded = true;
-  grb::plan::set_calibration(c);
-
-  const std::string path =
-      ::testing::TempDir() + "lagraph_cal_roundtrip.json";
-  ASSERT_TRUE(grb::plan::save_calibration(path));
-  grb::plan::reset_calibration();
-  ASSERT_FALSE(grb::plan::calibration_snapshot().loaded);
-
-  ASSERT_TRUE(grb::plan::load_calibration(path));
-  const auto got = grb::plan::calibration_snapshot();
-  EXPECT_TRUE(got.loaded);
-  EXPECT_DOUBLE_EQ(got.push_ns_per_unit, 3.25);
-  EXPECT_DOUBLE_EQ(got.pull_ns_per_unit, 7.5);
-  EXPECT_EQ(got.samples, 420u);
-  EXPECT_EQ(got.fitted_at_epoch_s, 1700000000u);
-  EXPECT_EQ(got.source, path);
-  std::remove(path.c_str());
-}
-
-TEST(PlanCalibration, LoadRejectsMissingFile) {
-  CalibrationReset cal;
-  EXPECT_FALSE(
-      grb::plan::load_calibration("/nonexistent/dir/lagraph_cal.json"));
-  EXPECT_FALSE(grb::plan::calibration_snapshot().loaded);
 }
 
 TEST(PlanFormat, PrepareCountsEachConversionOnce) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -236,27 +237,42 @@ TEST(Trace, HistogramBucketsAndPercentiles) {
 
 TEST(Trace, CalibrationRanksMispredictions) {
   std::vector<Span> spans;
-  // Nine well-predicted spans at 100 ns per cost unit, one 8x outlier.
-  for (int i = 0; i < 9; ++i) {
+  const auto add = [&](SpanKind kind, grb::plan::Direction dir,
+                       std::uint64_t dur_ns) {
     Span s;
-    s.kind = SpanKind::mxv;
+    s.kind = kind;
+    s.direction = static_cast<std::uint8_t>(dir);
     s.predicted_cost = 10.0;
-    s.dur_ns = 1000;
+    s.dur_ns = dur_ns;
     spans.push_back(s);
-  }
-  Span bad;
-  bad.kind = SpanKind::vxm;
-  bad.iter = 3;
-  bad.predicted_cost = 10.0;
-  bad.dur_ns = 8000;
-  spans.push_back(bad);
+  };
+  // Twelve push spans at 100 ns per cost unit, seven pull spans priced 3x
+  // dearer (300 ns/unit), and one 8x push outlier.
+  for (int i = 0; i < 12; ++i)
+    add(SpanKind::mxv, grb::plan::Direction::push, 1000);
+  for (int i = 0; i < 7; ++i)
+    add(SpanKind::mxv, grb::plan::Direction::pull, 3000);
+  add(SpanKind::vxm, grb::plan::Direction::push, 8000);
+  spans.back().iter = 3;
 
   auto report = grb::trace::calibrate(spans, 5);
-  EXPECT_EQ(report.samples, 10u);
+  EXPECT_EQ(report.samples, 20u);
+  // The global fit is the median scale, set by the push majority.
   EXPECT_NEAR(report.ns_per_cost, 100.0, 1.0);
-  ASSERT_FALSE(report.worst.empty());
+  // Per-direction medians: the outlier does not move push; pull keeps its
+  // own 3x scale.
+  EXPECT_NEAR(report.push_ns_per_cost, 100.0, 1.0);
+  EXPECT_NEAR(report.pull_ns_per_cost, 300.0, 1.0);
+  // Nearest-rank p95 of 20 |log2 ratio| values is the second largest: a
+  // pull span off the global fit by 3x (the outlier alone is the max).
+  EXPECT_NEAR(report.p95_abs_log2, std::log2(3.0), 1e-9);
+  ASSERT_EQ(report.worst.size(), 5u);
   EXPECT_EQ(report.worst[0].kind, SpanKind::vxm);
+  EXPECT_EQ(report.worst[0].iter, 3);
   EXPECT_NEAR(report.worst[0].ratio, 8.0, 0.1);
+  EXPECT_EQ(report.worst[1].direction,
+            static_cast<std::uint8_t>(grb::plan::Direction::pull));
+  EXPECT_NEAR(report.worst[1].ratio, 3.0, 0.01);
   EXPECT_FALSE(report.text().empty());
 }
 

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/test_graphs.hpp"
@@ -103,6 +105,27 @@ TEST(Io, MmReadRejectsGarbage) {
         "%%MatrixMarket matrix array real general\n"
         "2 2\n");  // dense format unsupported
     EXPECT_EQ(lagraph::mm_read(a, ss, msg), LAGRAPH_IO_ERROR);
+  }
+  // Untrusted size lines: a 2^64-1 dimension, and an entry count far past
+  // what the stream holds. Each fails cleanly and leaves the pre-filled
+  // output matrix with its old shape and entries.
+  const char *bad_sizes[] = {"18446744073709551615 1 0\n",
+                             "2 2 1000000000000000000\n"};
+  for (const char *size_line : bad_sizes) {
+    SCOPED_TRACE(size_line);
+    grb::Matrix<double> b = sample();
+    std::stringstream ss(std::string(
+        "%%MatrixMarket matrix coordinate real general\n") + size_line);
+    EXPECT_EQ(lagraph::mm_read(b, ss, msg), LAGRAPH_IO_ERROR);
+    EXPECT_EQ(b.nrows(), 3u);
+    EXPECT_EQ(b.ncols(), 4u);
+    std::vector<std::tuple<Index, Index, double>> got;
+    b.for_each([&](Index i, Index j, const double &x) {
+      got.emplace_back(i, j, x);
+    });
+    const std::vector<std::tuple<Index, Index, double>> want = {
+        {0, 1, 1.5}, {1, 0, -2.0}, {2, 3, 42.0}};
+    EXPECT_EQ(got, want);
   }
 }
 

@@ -11,8 +11,7 @@
 //   explain [OP]         print the grb::plan execution plans the given op
 //                        would run on this graph (OP: bfs|mxv|vxm|mxm|ewise,
 //                        default bfs) — cost-model inputs, chosen
-//                        direction, operand formats, thread-team size, and
-//                        the loaded calibration coefficients
+//                        direction, operand formats, and thread-team size
 //   explain query 'PAT'  compile the pattern query against this graph and
 //                        print both the optimized and the naive multi-op
 //                        plan (lagraph::query; grammar in docs/API.md) so
@@ -76,11 +75,6 @@
 //                        calibration report
 //   --trace-out FILE     trace: output path (default trace.json)
 //   --sample N           trace: record every Nth span per thread (default 1)
-// Cost-model calibration (grb::plan, see docs/API.md):
-//   --calibration FILE   load fitted ns/cost-unit coefficients before
-//                        planning (any command; explain reports them)
-//   --calibration-out F  trace: persist the run's fitted coefficients to F
-//                        for later --calibration loads
 // Conformance fuzzing (grb::testing, see docs/TESTING.md):
 //   fuzz [opts]          differential fuzz of the grb kernels against the
 //                        naive oracle; exits non-zero on any mismatch
@@ -101,7 +95,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -147,8 +140,6 @@ struct Options {
   std::string trace_out = "trace.json";
   std::uint32_t sample = 1;
   std::string prometheus;
-  std::string calibration;
-  std::string calibration_out;
   int telemetry_port = -1;      // serve: -1 = off, 0 = ephemeral
   double serve_seconds = 0;     // serve: keep serving after the script
   double slow_query_ms = 0;     // serve: slow-query threshold (0 = off)
@@ -173,8 +164,6 @@ int usage() {
       "  --mtx FILE | --graphalytics V E | --gen KIND SCALE\n"
       "  --undirected --source N --delta X --k N --top N\n"
       "  --json (stats) --burble\n"
-      "  --calibration FILE (load coefficients) --calibration-out FILE "
-      "(trace: persist fit)\n"
       "  trace: --trace-out FILE --sample N\n"
       "  serve/replay: --script FILE --threads N --window-us U "
       "--max-batch B --no-batch --prometheus FILE\n"
@@ -280,10 +269,6 @@ bool parse_args(int argc, char **argv, Options &opt) {
       opt.interval_ms = std::atol(argv[++i]);
     } else if (a == "--count" && need(1)) {
       opt.count = std::atoi(argv[++i]);
-    } else if (a == "--calibration" && need(1)) {
-      opt.calibration = argv[++i];
-    } else if (a == "--calibration-out" && need(1)) {
-      opt.calibration_out = argv[++i];
     } else {
       std::fprintf(stderr, "unknown or incomplete option: %s\n", a.c_str());
       return false;
@@ -748,20 +733,6 @@ int main(int argc, char **argv) {
 
   if (opt.trace) grb::config().trace_sample_every = opt.sample;
   if (opt.burble) grb::config().burble = true;
-  // Lazy-loaded at the first make_plan call; a bad path surfaces here.
-  if (!opt.calibration.empty()) {
-    grb::config().calibration_file = opt.calibration;
-    if (!grb::plan::load_calibration(opt.calibration)) {
-      std::fprintf(stderr, "cannot load --calibration file %s\n",
-                   opt.calibration.c_str());
-      return 1;
-    }
-  }
-  if (!opt.calibration_out.empty() && !opt.trace) {
-    std::fprintf(stderr, "--calibration-out requires the trace command "
-                 "(the fit comes from recorded spans)\n");
-    return 2;
-  }
   // stats --json emits a machine-readable document: nothing else on stdout.
   const bool quiet = opt.algorithm == "stats" && opt.json;
 
@@ -1003,24 +974,6 @@ int main(int argc, char **argv) {
                    "(expected bfs|mxv|vxm|mxm|ewise|query)\n",
                    opt.explain_op.c_str());
       return 2;
-    }
-    // Which ns/cost-unit coefficients planned the above: per-machine fits
-    // persist across runs via --calibration / Config::calibration_file.
-    const grb::plan::Calibration cal = grb::plan::calibration_snapshot();
-    if (cal.loaded) {
-      const long long age =
-          cal.fitted_at_epoch_s > 0
-              ? static_cast<long long>(std::time(nullptr)) -
-                    static_cast<long long>(cal.fitted_at_epoch_s)
-              : -1;
-      std::printf("calibration: push %.2f, pull %.2f ns/cost-unit from %s "
-                  "(%llu samples, fit age %llds)\n",
-                  cal.push_ns_per_unit, cal.pull_ns_per_unit,
-                  cal.source.empty() ? "an in-memory fit" : cal.source.c_str(),
-                  static_cast<unsigned long long>(cal.samples), age);
-    } else {
-      std::printf("calibration: none loaded (model units only; fit one with "
-                  "trace --calibration-out)\n");
     }
     const grb::Stats &ps = grb::stats();
     std::printf("planner counters: %llu built, %llu overridden, "
@@ -1337,36 +1290,6 @@ int main(int argc, char **argv) {
     }
     const auto report = grb::trace::calibrate(spans);
     std::printf("%s", report.text().c_str());
-    if (!opt.calibration_out.empty()) {
-      if (report.samples == 0) {
-        std::fprintf(stderr, "--calibration-out: no spans with predictions; "
-                     "nothing to persist\n");
-        return 1;
-      }
-      grb::plan::Calibration cal;
-      // Directions without samples fall back to the global fit so a loaded
-      // file always has usable coefficients for both.
-      cal.push_ns_per_unit = report.push_ns_per_cost > 0
-                                 ? report.push_ns_per_cost
-                                 : report.ns_per_cost;
-      cal.pull_ns_per_unit = report.pull_ns_per_cost > 0
-                                 ? report.pull_ns_per_cost
-                                 : report.ns_per_cost;
-      cal.samples = report.samples;
-      cal.fitted_at_epoch_s = static_cast<std::uint64_t>(std::time(nullptr));
-      cal.source = opt.calibration_out;
-      cal.loaded = true;
-      grb::plan::set_calibration(cal);
-      if (!grb::plan::save_calibration(opt.calibration_out)) {
-        std::fprintf(stderr, "cannot write --calibration-out file %s\n",
-                     opt.calibration_out.c_str());
-        return 1;
-      }
-      std::printf("calibration: push %.2f, pull %.2f ns/cost-unit "
-                  "(%zu samples) -> %s\n",
-                  cal.push_ns_per_unit, cal.pull_ns_per_unit, report.samples,
-                  opt.calibration_out.c_str());
-    }
   }
   return 0;
 }
