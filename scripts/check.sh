@@ -56,10 +56,10 @@
 #                      perf smoke; generous by default
 #                      because smoke timings on shared
 #                      CI boxes are noisy                (default: 0.50)
-#   SMOKE_MIN_MS       cells whose baseline median is
-#                      below this many ms are shown but
-#                      never fail the gate (sub-ms cells
-#                      are noise)                        (default: 0.5)
+#   SMOKE_MIN_MS       cells whose baseline and candidate
+#                      medians are both below this many
+#                      ms are shown but never fail the
+#                      gate (sub-ms cells are noise)     (default: 0.5)
 #   SKIP_SMOKE=1       skip step 3 entirely
 #   SKIP_TSAN=1        skip the TSan leg
 #   QUERY_FUZZ_OPS     scenario budget for the query fuzz   (default: 10000)

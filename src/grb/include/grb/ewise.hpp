@@ -200,6 +200,15 @@ Matrix<Z> ewise_mat(Op op, const Matrix<U> &u, const Matrix<V> &v) {
   // per-chunk buffers, stitch the row pointer from per-chunk row lengths.
   // Matrix operands are walked via for_each_in_row in whatever format they
   // hold; the plan only sizes the thread team (u_format = -1 sentinel).
+  // An intersection of a CSR operand with a bitmap/full one walks the CSR
+  // entries and probes the dense side — O(nnz(CSR)), as in ewise_vec.
+  const bool u_csr = u.format() == Matrix<U>::Format::csr;
+  const bool v_csr = v.format() == Matrix<V>::Format::csr;
+  const bool probe_dense = !UnionMode && u_csr != v_csr;
+  auto row_work = [&](Index i) -> Index {
+    if (probe_dense) return (u_csr ? u.row_nvals(i) : v.row_nvals(i)) + 1;
+    return u.row_nvals(i) + v.row_nvals(i) + 1;
+  };
   plan::OpDesc od;
   od.op = UnionMode ? plan::OpKind::ewise_add : plan::OpKind::ewise_mult;
   od.a_rows = m;
@@ -207,15 +216,12 @@ Matrix<Z> ewise_mat(Op op, const Matrix<U> &u, const Matrix<V> &v) {
   od.u_nvals = u.nvals();
   od.v_nvals = v.nvals();
   sp.set_plan(plan::make_plan(od));
-  const Index total = u.nvals() + v.nvals();
+  const Index total = probe_dense ? (u_csr ? u.nvals() : v.nvals())
+                                  : u.nvals() + v.nvals();
   const int parts = plan::chunk_parts(total, 2);
-  std::vector<Index> bounds =
-      parts > 1 ? partition_rows_by_work(
-                      m, parts,
-                      [&](Index i) {
-                        return u.row_nvals(i) + v.row_nvals(i) + 1;
-                      })
-                : partition_even(m, 1);
+  std::vector<Index> bounds = parts > 1
+                                  ? partition_rows_by_work(m, parts, row_work)
+                                  : partition_even(m, 1);
   const int nchunks = static_cast<int>(bounds.size()) - 1;
   std::vector<std::vector<Index>> crlen(static_cast<std::size_t>(nchunks));
   std::vector<std::vector<Index>> cci(static_cast<std::size_t>(nchunks));
@@ -229,6 +235,35 @@ Matrix<Z> ewise_mat(Op op, const Matrix<U> &u, const Matrix<V> &v) {
     std::vector<std::pair<Index, U>> urow;
     std::vector<std::pair<Index, V>> vrow;
     for (Index i = lo; i < hi; ++i) {
+      if (probe_dense) {
+        const std::size_t base = static_cast<std::size_t>(i) * u.ncols();
+        const std::size_t before = ci.size();
+        if (u_csr) {
+          const std::uint8_t *vp =
+              v.format() == Matrix<V>::Format::full ? nullptr
+                                                    : v.bitmap_present();
+          const V *vv = v.dense_values();
+          u.for_each_in_row(i, [&](Index j, const U &x) {
+            if (vp != nullptr && !vp[base + j]) return;
+            ci.push_back(j);
+            cv.push_back(static_cast<Z>(
+                op(static_cast<Z>(x), static_cast<Z>(vv[base + j]))));
+          });
+        } else {
+          const std::uint8_t *up =
+              u.format() == Matrix<U>::Format::full ? nullptr
+                                                    : u.bitmap_present();
+          const U *uv = u.dense_values();
+          v.for_each_in_row(i, [&](Index j, const V &y) {
+            if (up != nullptr && !up[base + j]) return;
+            ci.push_back(j);
+            cv.push_back(static_cast<Z>(
+                op(static_cast<Z>(uv[base + j]), static_cast<Z>(y))));
+          });
+        }
+        rlen.push_back(static_cast<Index>(ci.size() - before));
+        continue;
+      }
       urow.clear();
       vrow.clear();
       u.for_each_in_row(i,
@@ -288,6 +323,47 @@ Matrix<Z> ewise_mat(Op op, const Matrix<U> &u, const Matrix<V> &v) {
   return t;
 }
 
+/// Intersection of two bitmap/full operands evaluated only at the entries
+/// of a plain (non-complemented) mask: one O(1) probe of each operand per
+/// mask entry, instead of a walk over all m·n cells. The result is already
+/// restricted to the mask.
+template <typename Z, typename Op, typename U, typename V, typename MaskT>
+Matrix<Z> ewise_mult_at_mask(Op op, const Matrix<U> &u, const Matrix<V> &v,
+                             const MaskT &mask, const Descriptor &d) {
+  check_same_size(u.nrows(), v.nrows(), "eWise: row dimension mismatch");
+  check_same_size(u.ncols(), v.ncols(), "eWise: column dimension mismatch");
+  check_matrix_mask(mask, u.nrows(), u.ncols());
+  trace::ScopedSpan sp(trace::SpanKind::ewise_mult);
+  sp.set_in_nvals(mask.nvals());
+  const Index m = u.nrows();
+  const Index n = u.ncols();
+  const std::uint8_t *up =
+      u.format() == Matrix<U>::Format::full ? nullptr : u.bitmap_present();
+  const std::uint8_t *vp =
+      v.format() == Matrix<V>::Format::full ? nullptr : v.bitmap_present();
+  const U *uv = u.dense_values();
+  const V *vv = v.dense_values();
+  mask.ensure_sorted();
+  std::vector<Index> rp(static_cast<std::size_t>(m) + 1, 0);
+  std::vector<Index> ci;
+  std::vector<Z> cv;
+  for (Index i = 0; i < m; ++i) {
+    mask.for_each_in_row(i, [&](Index j, const auto &mv) {
+      if (!d.mask_structural && mv == 0) return;
+      const std::size_t p = static_cast<std::size_t>(i) * n + j;
+      if ((up != nullptr && !up[p]) || (vp != nullptr && !vp[p])) return;
+      ci.push_back(j);
+      cv.push_back(
+          static_cast<Z>(op(static_cast<Z>(uv[p]), static_cast<Z>(vv[p]))));
+    });
+    rp[i + 1] = static_cast<Index>(ci.size());
+  }
+  Matrix<Z> t(m, n);
+  t.adopt_csr(std::move(rp), std::move(ci), std::move(cv), false);
+  sp.set_out_nvals(t.nvals());
+  return t;
+}
+
 }  // namespace detail
 
 /// w⟨m⟩ ⊙= u op∪ v
@@ -332,6 +408,17 @@ void eWiseMult(Matrix<W> &c, const MaskT &mask, Accum accum, Op op,
                const Descriptor &d = desc::DEFAULT) {
   detail::check_same_size(c.nrows(), a.nrows(), "eWiseMult: output shape");
   detail::check_same_size(c.ncols(), a.ncols(), "eWiseMult: output shape");
+  if constexpr (has_mask_v<MaskT>) {
+    // Both operands dense: a plain mask's entries are the only cells worth
+    // visiting (BC's W⟨s(S[d])⟩ = bc_update ÷ P).
+    if (!d.mask_complement && a.format() != Matrix<U>::Format::csr &&
+        b.format() != Matrix<V>::Format::csr) {
+      auto t = detail::ewise_mult_at_mask<W>(op, a, b, mask, d);
+      detail::write_result(c, std::move(t), mask, accum, d,
+                           /*t_is_masked=*/true);
+      return;
+    }
+  }
   auto t = detail::ewise_mat<W, Op, U, V, false>(op, a, b);
   detail::write_result(c, std::move(t), mask, accum, d);
 }

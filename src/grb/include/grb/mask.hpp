@@ -84,6 +84,54 @@ inline W accum_apply(Accum accum, const C &c, const T &t) {
   return static_cast<W>(accum(static_cast<W>(c), static_cast<W>(t)));
 }
 
+/// True when the mask is the output container itself. The in-place output
+/// step would then probe entries it is rewriting, so it takes the rebuild.
+template <typename MaskT, typename Out>
+inline bool mask_is_output(const MaskT &mask, const Out &out) {
+  if constexpr (has_mask_v<MaskT>) {
+    return static_cast<const void *>(&mask) == static_cast<const void *>(&out);
+  } else {
+    (void)mask;
+    (void)out;
+    return false;
+  }
+}
+
+/// True when a membership test costs O(1): no mask, or a dense mask.
+template <typename MaskT>
+inline bool mask_probe_is_o1(const MaskT &mask) {
+  if constexpr (!has_mask_v<MaskT>) {
+    (void)mask;
+    return true;
+  } else if constexpr (requires { mask.ncols(); }) {
+    return mask.format() != std::remove_cvref_t<MaskT>::Format::csr;
+  } else {
+    return mask.format() == std::remove_cvref_t<MaskT>::Format::bitmap;
+  }
+}
+
+// The output step runs in place on a bitmap (vector) or bitmap/full
+// (matrix) output whenever the result is right without visiting positions
+// outside T and the mask:
+//   - with an accumulator and no replace, and a mask that probes in O(1):
+//     only T's entries can change, so each is accumulated into its slot;
+//   - without an accumulator, with a plain (non-complemented) mask and no
+//     replace: only the mask's entries can change, so each takes T's value
+//     or is deleted.
+// Cost O(nnz(T) + nnz(mask)) instead of a rebuild over the whole output.
+// Every entry sees the same operations as in the rebuild. The output keeps
+// its format (no density switch), like the in-place assign paths.
+template <typename Accum, typename Out, typename MaskT>
+inline bool in_place_write(const Out &out, const MaskT &mask,
+                           const Descriptor &d) {
+  if (d.replace || mask_is_output(mask, out)) return false;
+  if constexpr (is_accum_v<Accum>) {
+    return mask_probe_is_o1(mask);
+  } else {
+    return has_mask_v<MaskT> && !d.mask_complement;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Vector output step
 // ---------------------------------------------------------------------------
@@ -110,6 +158,51 @@ void write_result(Vector<W> &w, Vector<Z> &&t, const MaskT &mask, Accum accum,
       w.maybe_switch_format();
       return;
     }
+  }
+
+  if (w.format() == Vector<W>::Format::bitmap &&
+      in_place_write<Accum>(w, mask, d)) {
+    std::uint8_t *wp = w.bitmap_present_mut();
+    W *wv = w.bitmap_values_mut();
+    Index nv = w.nvals();
+    if constexpr (is_accum_v<Accum>) {
+      t.for_each([&](Index i, const Z &z) {
+        if (!vmask_test(mask, i, d)) return;
+        if (wp[i]) {
+          wv[i] = accum_apply<W>(accum, wv[i], z);
+        } else {
+          wp[i] = 1;
+          wv[i] = static_cast<W>(z);
+          ++nv;
+        }
+      });
+    } else if constexpr (has_mask_v<MaskT>) {
+      // Mask entries ascend, so a cursor walks a sparse T alongside.
+      const bool t_bitmap = t.format() == Vector<Z>::Format::bitmap;
+      auto ti = t.sparse_indices();
+      auto tv = t.sparse_values();
+      std::size_t b = 0;
+      mask.for_each([&](Index i, const auto &mv) {
+        if (!d.mask_structural && mv == 0) return;
+        const Z *z = nullptr;
+        if (t_bitmap) {
+          if (t.bitmap_present()[i]) z = &t.bitmap_values()[i];
+        } else {
+          while (b < ti.size() && ti[b] < i) ++b;
+          if (b < ti.size() && ti[b] == i) z = &tv[b];
+        }
+        if (z != nullptr) {
+          if (!wp[i]) ++nv;
+          wp[i] = 1;
+          wv[i] = static_cast<W>(*z);
+        } else if (wp[i]) {
+          wp[i] = 0;
+          --nv;
+        }
+      });
+    }
+    w.set_bitmap_nvals(nv);
+    return;
   }
 
   std::vector<Index> out_idx;
@@ -208,6 +301,59 @@ void write_result(Matrix<W> &c, Matrix<Z> &&t, const MaskT &mask, Accum accum,
       c = std::move(t);  // keeps a jumbled temp jumbled (lazy sort)
       return;
     }
+  }
+
+  if (c.format() != Matrix<W>::Format::csr &&
+      in_place_write<Accum>(c, mask, d)) {
+    if constexpr (is_accum_v<Accum>) {
+      // A full output stays full: every slot is present.
+      const bool full = c.format() == Matrix<W>::Format::full;
+      std::uint8_t *cp = full ? nullptr : c.bitmap_present_mut();
+      W *cv = c.dense_values_mut();
+      Index nv = c.nvals();
+      t.for_each([&](Index i, Index j, const Z &z) {
+        if (!mmask_test(mask, i, j, d)) return;
+        const std::size_t p = static_cast<std::size_t>(i) * n + j;
+        if (full || cp[p]) {
+          cv[p] = accum_apply<W>(accum, cv[p], z);
+        } else {
+          cp[p] = 1;
+          cv[p] = static_cast<W>(z);
+          ++nv;
+        }
+      });
+      if (!full) c.set_bitmap_nvals(nv);
+    } else if constexpr (has_mask_v<MaskT>) {
+      // Mask entries may delete: a full output drops to bitmap first.
+      c.to_bitmap();
+      std::uint8_t *cp = c.bitmap_present_mut();
+      W *cv = c.dense_values_mut();
+      Index nv = c.nvals();
+      mask.ensure_sorted();
+      t.ensure_sorted();
+      std::vector<std::pair<Index, Z>> trow;
+      for (Index i = 0; i < m; ++i) {
+        trow.clear();
+        t.for_each_in_row(
+            i, [&](Index j, const Z &x) { trow.emplace_back(j, x); });
+        std::size_t b = 0;
+        mask.for_each_in_row(i, [&](Index j, const auto &mv) {
+          if (!d.mask_structural && mv == 0) return;
+          while (b < trow.size() && trow[b].first < j) ++b;
+          const std::size_t p = static_cast<std::size_t>(i) * n + j;
+          if (b < trow.size() && trow[b].first == j) {
+            if (!cp[p]) ++nv;
+            cp[p] = 1;
+            cv[p] = static_cast<W>(trow[b].second);
+          } else if (cp[p]) {
+            cp[p] = 0;
+            --nv;
+          }
+        });
+      }
+      c.set_bitmap_nvals(nv);
+    }
+    return;
   }
 
   c.ensure_sorted();

@@ -656,6 +656,20 @@ class Matrix {
   }
   [[nodiscard]] const T *dense_values() const { return dense_.data(); }
 
+  // Mutable bitmap/full access for in-place kernels (the output step's
+  // in-place writes). The caller owns the invariant: after inserting or
+  // removing bitmap entries through these pointers it must fix the count
+  // via set_bitmap_nvals. A full matrix has no presence array.
+  [[nodiscard]] std::uint8_t *bitmap_present_mut() {
+    finalized_ = false;
+    return present_.data();
+  }
+  [[nodiscard]] T *dense_values_mut() {
+    finalized_ = false;
+    return dense_.data();
+  }
+  void set_bitmap_nvals(Index nv) { bitmap_nvals_ = nv; }
+
   /// Adopt CSR storage built by a kernel. `jumbled` marks rows whose column
   /// order is unspecified (lazy sort). If lazy sort is disabled in Config the
   /// rows are sorted immediately.

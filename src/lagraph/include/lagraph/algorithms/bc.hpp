@@ -64,6 +64,12 @@ int betweenness_centrality(grb::Vector<double> *centrality, const Graph<T> &g,
              grb::desc::SC);
 
     const double total = static_cast<double>(ns) * static_cast<double>(n);
+    // P is held dense (planner-pinnable), so P += F and the probes of the
+    // backward phase touch only the frontier's cells, not all ns·n.
+    if (grb::plan::iterative_output_format(ns * n) ==
+        grb::plan::VecFormat::bitmap) {
+      grb::plan::prepare(paths, grb::plan::MatFormat::bitmap);
+    }
 
     // Forward phase: save each level's pattern.
     std::vector<grb::Matrix<grb::Bool>> levels;
@@ -77,9 +83,8 @@ int betweenness_centrality(grb::Vector<double> *centrality, const Graph<T> &g,
       grb::assign(s, frontier, grb::NoAccum{}, grb::Bool(1),
                   grb::Indices::all(), grb::Indices::all(), grb::desc::S);
       levels.push_back(std::move(s));
-      // P += F
-      grb::eWiseAdd(paths, grb::no_mask, grb::NoAccum{}, grb::Plus{}, paths,
-                    frontier);
+      // P += F, in place
+      grb::apply(paths, grb::no_mask, grb::Plus{}, grb::Identity{}, frontier);
       // F⟨¬s(P), r⟩ = F plus.first A  (push) or F plus.first Bᵀ (pull).
       // Pull evaluates one (non-early-exiting) dot per *unvisited*
       // (source, node) pair; push scatters once per frontier entry — the
@@ -124,7 +129,7 @@ int betweenness_centrality(grb::Vector<double> *centrality, const Graph<T> &g,
       grb::trace::ScopedSpan lsp(grb::trace::SpanKind::bc_backward);
       lsp.set_iter(static_cast<std::int64_t>(i));
       lsp.set_in_nvals(levels[i].nvals());
-      // W⟨s(S[i]), r⟩ = bc_update ÷∩ P
+      // W⟨s(S[i]), r⟩ = bc_update ÷∩ P, evaluated at S[i]'s entries only
       grb::eWiseMult(w, levels[i], grb::NoAccum{}, grb::Div{}, bc_update,
                      paths, rs);
       // W⟨s(S[i-1]), r⟩ = W plus.first Aᵀ — push multiplies by the explicit
@@ -157,7 +162,7 @@ int betweenness_centrality(grb::Vector<double> *centrality, const Graph<T> &g,
                  grb::desc::RS);
       }
       lsp.set_out_nvals(w.nvals());
-      // bc_update += W ×∩ P
+      // bc_update += W ×∩ P: W's entries probe P, then accumulate in place
       grb::eWiseMult(bc_update, grb::no_mask, grb::Plus{}, grb::Times{}, w,
                      paths);
     }

@@ -54,29 +54,39 @@ int sssp_delta_stepping(grb::Vector<double> *dist, const Graph<T> &g,
     grb::Vector<double> tb(n);     // current bucket frontier
     grb::Vector<double> treq(n);   // relaxation candidates
     grb::Vector<double> tmp(n);
-    // e(v) = 1 iff v entered the current bucket (valued-mask convention:
-    // a full bitmap of 0/1 so membership updates are in-place writes).
-    auto e = grb::Vector<grb::Bool>::full(n, 0);
+    // The wavefront: t's entries at nodes not yet settled, i.e. every
+    // t(v) ≥ iΔ. Bucket search, min-reduce and the settled set read it
+    // instead of t, so a bucket costs its wavefront, not n.
+    grb::Vector<double> front(n);
+    front.set_element(source, 0.0);
+    // done(v) = 1 iff v was settled in an earlier bucket (t(v) < iΔ, final).
+    grb::Vector<grb::Bool> done(n);
+    grb::plan::prepare(done, grb::plan::iterative_output_format(n));
+    // front⟨¬s(done)⟩ min= treq: follow t's update at every unsettled node.
+    // A candidate at a settled node never improves it, so it must not
+    // enter the wavefront.
+    auto follow = [&](const grb::Vector<double> &cand) {
+      grb::apply(front, done, grb::Min{}, grb::Identity{}, cand,
+                 grb::desc::SC);
+    };
 
     for (std::uint64_t i = 0;; ++i) {
       // outer termination: any reached node still at distance ≥ iΔ?
-      grb::Vector<double> remaining(n);
-      grb::select(remaining, grb::no_mask, grb::NoAccum{}, grb::ValueGe{}, t,
+      // Pruning the wavefront to t ≥ iΔ drops the last bucket's nodes.
+      grb::select(front, grb::no_mask, grb::NoAccum{}, grb::ValueGe{}, front,
                   static_cast<double>(i) * delta);
-      if (remaining.nvals() == 0) break;
+      if (front.nvals() == 0) break;
       // skip straight to the first non-empty bucket
       double minr = 0;
-      grb::reduce(minr, grb::NoAccum{}, grb::MinMonoid<double>{}, remaining);
+      grb::reduce(minr, grb::NoAccum{}, grb::MinMonoid<double>{}, front);
       i = std::max(i, static_cast<std::uint64_t>(minr / delta));
       const double lo = static_cast<double>(i) * delta;
       const double hi = lo + delta;
 
       // bucket i: t ∈ [iΔ, (i+1)Δ)
-      grb::select(tb, grb::no_mask, grb::NoAccum{}, grb::ValueGe{}, remaining,
+      grb::select(tb, grb::no_mask, grb::NoAccum{}, grb::ValueGe{}, front,
                   lo);
       grb::select(tb, grb::no_mask, grb::NoAccum{}, grb::ValueLt{}, tb, hi);
-      grb::assign(e, grb::no_mask, grb::NoAccum{}, grb::Bool(0),
-                  grb::Indices::all());
 
       // One span per bucket: initial bucket size, number of light
       // relaxation rounds (extra), and the bucket's wall time.
@@ -87,9 +97,6 @@ int sssp_delta_stepping(grb::Vector<double> *dist, const Graph<T> &g,
 
       while (tb.nvals() != 0) {
         ++rounds;
-        // remember bucket membership for the heavy phase: e⟨s(tb)⟩ = 1
-        grb::assign(e, tb, grb::NoAccum{}, grb::Bool(1), grb::Indices::all(),
-                    grb::desc::S);
         // light relaxation fused with the bucket window (Alg. 5 line 10):
         //   treq = tbᵀ min.plus A_L ; tmp = treq⟨lo ≤ · < hi⟩
         // One sweep produces both the full candidate vector (needed for the
@@ -113,17 +120,22 @@ int sssp_delta_stepping(grb::Vector<double> *dist, const Graph<T> &g,
 
         // t min= treq (Alg. 5 line 15), in place
         grb::assign(t, grb::no_mask, grb::Min{}, treq, grb::Indices::all());
+        follow(treq);
       }
 
-      // heavy relaxation from everything settled in bucket i:
-      // treq = (t ×∩ e)ᵀ min.plus A_H ; t min= treq. The mask on e is
-      // valued: e is a full 0/1 bitmap.
+      // Settled in bucket i: every wavefront node now below (i+1)Δ — the
+      // nodes that entered the bucket, at their final distances.
+      // heavy relaxation from them: treq = settledᵀ min.plus A_H ;
+      // t min= treq.
       grb::Vector<double> settled(n);
-      grb::apply(settled, e, grb::NoAccum{}, grb::Identity{}, t,
-                 grb::desc::R);
+      grb::select(settled, grb::no_mask, grb::NoAccum{}, grb::ValueLt{}, front,
+                  hi);
       if (settled.nvals() != 0) {
         grb::vxm(treq, grb::no_mask, grb::NoAccum{}, min_plus, settled, ah);
         grb::assign(t, grb::no_mask, grb::Min{}, treq, grb::Indices::all());
+        follow(treq);
+        grb::assign(done, settled, grb::NoAccum{}, grb::Bool(1),
+                    grb::Indices::all(), grb::desc::S);
       }
       bsp.set_out_nvals(settled.nvals());
       bsp.set_extra(static_cast<double>(rounds));

@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <functional>
+#include <new>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +26,39 @@ inline bool next_data_line(std::istream &in, std::string &line) {
     if (!line.empty() && line[0] != '%') return true;
   }
   return false;
+}
+
+/// Read `count` raw elements in chunks of at most 1 MiB, so the storage
+/// grows only as data arrives: a short stream fails (returns false) before
+/// an allocation sized from an untrusted header is made.
+template <typename X>
+bool read_array(std::istream &in, std::uint64_t count, std::vector<X> &out) {
+  constexpr std::uint64_t kChunk = (std::uint64_t{1} << 20) / sizeof(X);
+  out.clear();
+  while (out.size() < count) {
+    const std::size_t at = out.size();
+    const std::size_t len =
+        static_cast<std::size_t>(std::min(kChunk, count - at));
+    out.resize(at + len);
+    in.read(reinterpret_cast<char *>(out.data() + at),
+            static_cast<std::streamsize>(len * sizeof(X)));
+    if (!in) return false;
+  }
+  return true;
+}
+
+/// An empty nrows×ncols matrix, or nullopt when its row pointer cannot be
+/// allocated (a dimension read from an untrusted header).
+template <typename T>
+std::optional<grb::Matrix<T>> empty_matrix(std::uint64_t nrows,
+                                           std::uint64_t ncols) {
+  try {
+    return grb::Matrix<T>(nrows, ncols);
+  } catch (const std::bad_alloc &) {
+    return std::nullopt;
+  } catch (const std::length_error &) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace detail
@@ -90,11 +127,15 @@ int mm_read(grb::Matrix<T> &a, std::istream &in, char *msg) {
       }
     }
     // Built aside and moved in only on success: a failed read leaves `a`.
-    grb::Matrix<T> out(nrows, ncols);
-    out.build(std::span<const grb::Index>(ri),
-              std::span<const grb::Index>(ci), std::span<const T>(vx),
-              grb::Second{});
-    a = std::move(out);
+    auto out = detail::empty_matrix<T>(nrows, ncols);
+    if (!out) {
+      return detail::set_msg(msg, LAGRAPH_IO_ERROR,
+                             "mm_read: dimensions too large to allocate");
+    }
+    out->build(std::span<const grb::Index>(ri),
+               std::span<const grb::Index>(ci), std::span<const T>(vx),
+               grb::Second{});
+    a = std::move(*out);
     return LAGRAPH_OK;
   });
 }
@@ -188,16 +229,14 @@ int bin_read(grb::Matrix<T> &a, std::istream &in, char *msg) {
       return detail::set_msg(msg, LAGRAPH_IO_ERROR,
                              "bin_read: row count overflows");
     }
-    std::vector<grb::Index> rp(nrows + 1);
-    std::vector<grb::Index> cx(nvals);
-    std::vector<T> vx(nvals);
-    in.read(reinterpret_cast<char *>(rp.data()),
-            static_cast<std::streamsize>(rp.size() * sizeof(grb::Index)));
-    in.read(reinterpret_cast<char *>(cx.data()),
-            static_cast<std::streamsize>(cx.size() * sizeof(grb::Index)));
-    in.read(reinterpret_cast<char *>(vx.data()),
-            static_cast<std::streamsize>(vx.size() * sizeof(T)));
-    if (!in) {
+    // The header's counts are untrusted: the arrays grow only as the
+    // stream delivers their data.
+    std::vector<grb::Index> rp;
+    std::vector<grb::Index> cx;
+    std::vector<T> vx;
+    if (!detail::read_array(in, nrows + 1, rp) ||
+        !detail::read_array(in, nvals, cx) ||
+        !detail::read_array(in, nvals, vx)) {
       return detail::set_msg(msg, LAGRAPH_IO_ERROR, "bin_read: truncated");
     }
     // adopt_csr checks only array sizes; the file's CSR structure is
@@ -213,8 +252,14 @@ int bin_read(grb::Matrix<T> &a, std::istream &in, char *msg) {
       return detail::set_msg(msg, LAGRAPH_IO_ERROR,
                              "bin_read: column index out of range");
     }
-    a = grb::Matrix<T>(nrows, ncols);
-    a.adopt_csr(std::move(rp), std::move(cx), std::move(vx), false);
+    // Built aside and moved in only on success: a failed read leaves `a`.
+    auto out = detail::empty_matrix<T>(nrows, ncols);
+    if (!out) {
+      return detail::set_msg(msg, LAGRAPH_IO_ERROR,
+                             "bin_read: dimensions too large to allocate");
+    }
+    out->adopt_csr(std::move(rp), std::move(cx), std::move(vx), false);
+    a = std::move(*out);
     return LAGRAPH_OK;
   });
 }

@@ -47,6 +47,61 @@ Matrix<double> random_mat(Index n, double density, unsigned seed) {
   return a;
 }
 
+// Mask variants the output step distinguishes: none, valued, structural,
+// each plain or complemented.
+struct MaskCase {
+  bool has;
+  bool structural;
+  bool complement;
+};
+constexpr MaskCase kMaskCases[] = {
+    {false, false, false}, {false, false, true}, {true, false, false},
+    {true, true, false},   {true, false, true},  {true, true, true}};
+
+grb::Descriptor mask_desc(const MaskCase &mc, bool replace) {
+  grb::Descriptor d;
+  d.mask_structural = mc.structural;
+  d.mask_complement = mc.complement;
+  d.replace = replace;
+  return d;
+}
+
+/// The output step with an optional mask and a (non-commutative) Minus
+/// accumulator or none, on a copy of `t`.
+template <typename Out, typename Mask>
+void write_step(Out &out, const Out &t, const MaskCase &mc, const Mask &mask,
+                bool accum, bool replace) {
+  const grb::Descriptor d = mask_desc(mc, replace);
+  auto run = [&](const auto &m) {
+    if (accum) {
+      grb::detail::write_result(out, Out(t), m, grb::Minus{}, d);
+    } else {
+      grb::detail::write_result(out, Out(t), m, grb::NoAccum{}, d);
+    }
+  };
+  if (mc.has) {
+    run(mask);
+  } else {
+    run(no_mask);
+  }
+}
+
+/// Random matrix whose values above 6 are zeroed: a valued mask with holes.
+Matrix<double> random_mask_mat(Index n, double density, unsigned seed) {
+  auto m = random_mat(n, density, seed);
+  grb::apply(m, no_mask, grb::NoAccum{},
+             [](double x) { return x > 6 ? 0.0 : x; }, m);
+  return m;
+}
+
+/// A full matrix with varied values.
+Matrix<double> random_full_mat(Index n, unsigned seed) {
+  auto f = Matrix<double>::full_matrix(n, n, 1.0);
+  random_mat(n, 0.5, seed).for_each(
+      [&](Index i, Index j, const double &x) { f.set_element(i, j, x); });
+  return f;
+}
+
 }  // namespace
 
 TEST(FastPath, InPlaceAccumAssignMatchesGeneral) {
@@ -175,6 +230,142 @@ TEST(FastPath, BitmapDotMatchesMergeDot) {
            grb::Descriptor{}.T1().S());
   grb::config().bitmap_switch_density = 1.0 / 16.0;
   EXPECT_EQ(c1, c2);
+}
+
+TEST(FastPath, InPlaceVectorOutputStepMatchesRebuild) {
+  // A bitmap or full output takes the in-place output step where it
+  // applies; the same step on the output held sparse takes the rebuild.
+  const Index n = 48;
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    auto t = random_vec(n, 0.25, seed);
+    auto tb = t;
+    tb.to_bitmap();
+    auto m = random_vec(n, 0.4, seed + 50);  // values -9..9: some are zero
+    auto mb = m;
+    mb.to_bitmap();
+    auto w_bitmap = random_vec(n, 0.5, seed + 20);
+    w_bitmap.to_bitmap();
+    for (const auto &w0 : {w_bitmap, Vector<double>::full(n, 3.0)}) {
+      for (const auto *tt : {&t, &tb}) {
+        for (const auto *mm : {&m, &mb}) {
+          for (const auto &mc : kMaskCases) {
+            for (bool accum : {false, true}) {
+              for (bool replace : {false, true}) {
+                auto fast = w0;
+                write_step(fast, *tt, mc, *mm, accum, replace);
+                auto ref = w0;
+                ref.to_sparse();
+                write_step(ref, *tt, mc, *mm, accum, replace);
+                EXPECT_EQ(fast, ref)
+                    << "seed " << seed << " full " << (w0.nvals() == n)
+                    << " t_bitmap " << (tt == &tb) << " m_bitmap "
+                    << (mm == &mb) << " mask " << mc.has << mc.structural
+                    << mc.complement << " accum " << accum << " replace "
+                    << replace;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FastPath, InPlaceMatrixOutputStepMatchesRebuild) {
+  const Index n = 20;
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    auto t = random_mat(n, 0.2, seed);
+    auto tb = t;
+    tb.to_bitmap();
+    auto m = random_mask_mat(n, 0.4, seed + 50);
+    auto mb = m;
+    mb.to_bitmap();
+    auto c_bitmap = random_mat(n, 0.5, seed + 20);
+    c_bitmap.to_bitmap();
+    for (const auto &c0 : {c_bitmap, random_full_mat(n, seed + 30)}) {
+      for (const auto *tt : {&t, &tb}) {
+        for (const auto *mm : {&m, &mb}) {
+          for (const auto &mc : kMaskCases) {
+            for (bool accum : {false, true}) {
+              for (bool replace : {false, true}) {
+                auto fast = c0;
+                write_step(fast, *tt, mc, *mm, accum, replace);
+                auto ref = c0;
+                ref.to_csr();
+                write_step(ref, *tt, mc, *mm, accum, replace);
+                EXPECT_EQ(fast, ref)
+                    << "seed " << seed << " full "
+                    << (c0.format() == Matrix<double>::Format::full)
+                    << " t_bitmap " << (tt == &tb) << " m_bitmap "
+                    << (mm == &mb) << " mask " << mc.has << mc.structural
+                    << mc.complement << " accum " << accum << " replace "
+                    << replace;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FastPath, MatrixIntersectionCsrProbesDense) {
+  // CSR ∩ bitmap/full walks the CSR entries; Minus checks operand order.
+  const Index n = 24;
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    auto a = random_mat(n, 0.2, seed);
+    auto b = random_mat(n, 0.6, seed + 3);
+    b.to_bitmap();
+    for (const auto &dense : {b, random_full_mat(n, seed + 7)}) {
+      auto dense_csr = dense;
+      dense_csr.to_csr();
+      Matrix<double> c1(n, n), c2(n, n), c3(n, n), c4(n, n);
+      grb::eWiseMult(c1, no_mask, grb::NoAccum{}, grb::Minus{}, a, dense);
+      grb::eWiseMult(c2, no_mask, grb::NoAccum{}, grb::Minus{}, a, dense_csr);
+      EXPECT_EQ(c1, c2) << "seed " << seed;
+      grb::eWiseMult(c3, no_mask, grb::NoAccum{}, grb::Minus{}, dense, a);
+      grb::eWiseMult(c4, no_mask, grb::NoAccum{}, grb::Minus{}, dense_csr, a);
+      EXPECT_EQ(c3, c4) << "seed " << seed;
+    }
+  }
+}
+
+TEST(FastPath, MatrixIntersectionAtMaskEntries) {
+  // Two dense operands under a plain mask are evaluated at the mask's
+  // entries only; the same op on CSR operands walks both.
+  const Index n = 24;
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    auto u = random_mat(n, 0.7, seed);
+    u.to_bitmap();
+    auto v = random_full_mat(n, seed + 5);
+    auto u_csr = u;
+    u_csr.to_csr();
+    auto v_csr = v;
+    v_csr.to_csr();
+    auto m = random_mask_mat(n, 0.1, seed + 9);
+    auto c0 = random_mat(n, 0.3, seed + 11);
+    for (bool structural : {false, true}) {
+      for (bool accum : {false, true}) {
+        for (bool replace : {false, true}) {
+          const grb::Descriptor d =
+              mask_desc({true, structural, false}, replace);
+          auto fast = c0;
+          auto ref = c0;
+          if (accum) {
+            grb::eWiseMult(fast, m, grb::Plus{}, grb::Div{}, u, v, d);
+            grb::eWiseMult(ref, m, grb::Plus{}, grb::Div{}, u_csr, v_csr, d);
+          } else {
+            grb::eWiseMult(fast, m, grb::NoAccum{}, grb::Div{}, u, v, d);
+            grb::eWiseMult(ref, m, grb::NoAccum{}, grb::Div{}, u_csr, v_csr,
+                           d);
+          }
+          EXPECT_EQ(fast, ref) << "seed " << seed << " structural "
+                               << structural << " accum " << accum
+                               << " replace " << replace;
+        }
+      }
+    }
+  }
 }
 
 TEST(Kronecker, SmallProduct) {

@@ -24,6 +24,19 @@ grb::Matrix<double> sample() {
   return a;
 }
 
+/// `b` still holds sample()'s shape and entries (a failed read left it).
+void expect_sample(const grb::Matrix<double> &b) {
+  EXPECT_EQ(b.nrows(), 3u);
+  EXPECT_EQ(b.ncols(), 4u);
+  std::vector<std::tuple<Index, Index, double>> got;
+  b.for_each([&](Index i, Index j, const double &x) {
+    got.emplace_back(i, j, x);
+  });
+  const std::vector<std::tuple<Index, Index, double>> want = {
+      {0, 1, 1.5}, {1, 0, -2.0}, {2, 3, 42.0}};
+  EXPECT_EQ(got, want);
+}
+
 }  // namespace
 
 TEST(Io, MmWriteReadRoundTrip) {
@@ -106,26 +119,20 @@ TEST(Io, MmReadRejectsGarbage) {
         "2 2\n");  // dense format unsupported
     EXPECT_EQ(lagraph::mm_read(a, ss, msg), LAGRAPH_IO_ERROR);
   }
-  // Untrusted size lines: a 2^64-1 dimension, and an entry count far past
-  // what the stream holds. Each fails cleanly and leaves the pre-filled
-  // output matrix with its old shape and entries.
+  // Untrusted size lines: a 2^64-1 dimension, an entry count far past what
+  // the stream holds, and 2^40 rows (an 8 TiB row pointer the allocator
+  // refuses). Each fails cleanly and leaves the pre-filled output matrix
+  // with its old shape and entries.
   const char *bad_sizes[] = {"18446744073709551615 1 0\n",
-                             "2 2 1000000000000000000\n"};
+                             "2 2 1000000000000000000\n",
+                             "1099511627776 1 0\n"};
   for (const char *size_line : bad_sizes) {
     SCOPED_TRACE(size_line);
     grb::Matrix<double> b = sample();
     std::stringstream ss(std::string(
         "%%MatrixMarket matrix coordinate real general\n") + size_line);
     EXPECT_EQ(lagraph::mm_read(b, ss, msg), LAGRAPH_IO_ERROR);
-    EXPECT_EQ(b.nrows(), 3u);
-    EXPECT_EQ(b.ncols(), 4u);
-    std::vector<std::tuple<Index, Index, double>> got;
-    b.for_each([&](Index i, Index j, const double &x) {
-      got.emplace_back(i, j, x);
-    });
-    const std::vector<std::tuple<Index, Index, double>> want = {
-        {0, 1, 1.5}, {1, 0, -2.0}, {2, 3, 42.0}};
-    EXPECT_EQ(got, want);
+    expect_sample(b);
   }
 }
 
@@ -147,6 +154,22 @@ TEST(Io, BinRoundTrip) {
   grb::Matrix<double> b(0, 0);
   ASSERT_EQ(lagraph::bin_read(b, ss, msg), LAGRAPH_OK) << msg;
   EXPECT_EQ(a, b);
+}
+
+TEST(Io, BinReadUntrustedHeaderLeavesOutputIntact) {
+  // A 40-byte blob whose header claims 10^18 entries: the read fails as
+  // truncated before anything is sized from that count.
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  ss.write(lagraph::kBinMagic, sizeof(lagraph::kBinMagic));
+  const std::uint64_t header[4] = {2, 2, 1000000000000000000ull,
+                                   sizeof(double)};
+  ss.write(reinterpret_cast<const char *>(header), sizeof(header));
+  ASSERT_EQ(ss.str().size(), 40u);
+  grb::Matrix<double> b = sample();
+  char msg[LAGRAPH_MSG_LEN];
+  EXPECT_EQ(lagraph::bin_read(b, ss, msg), LAGRAPH_IO_ERROR);
+  EXPECT_STREQ(msg, "bin_read: truncated");
+  expect_sample(b);
 }
 
 TEST(Io, BinRejectsWrongMagicAndType) {

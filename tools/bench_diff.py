@@ -134,8 +134,9 @@ def main():
         "--min-ms",
         type=float,
         default=0.0,
-        help="cells whose baseline median is below this are shown but never "
-        "flagged (sub-millisecond timings are noise on loaded machines)",
+        help="cells whose baseline and candidate medians are both below "
+        "this are shown but never flagged (sub-millisecond timings are noise "
+        "on loaded machines)",
     )
     args = ap.parse_args()
 
@@ -185,7 +186,9 @@ def main():
         ratio = c / b if b > 0 else float("inf")
         flag = ""
         if b > 0 and ratio > 1.0 + args.threshold:
-            if b < args.min_ms:
+            # Exempt only a cell that stays under the floor on both sides:
+            # a sub-floor baseline that turns slow is a real regression.
+            if b < args.min_ms and c < args.min_ms:
                 flag = "  (slow, below --min-ms floor: not flagged)"
             else:
                 flag = "  << REGRESSION"
